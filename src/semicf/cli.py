@@ -57,6 +57,8 @@ def parse_cf(text: Union[str, bytes]) -> SemiRegularCF:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     extra = set(doc) - {"b0", "terms"}
@@ -239,10 +241,13 @@ def _check_determinant(cf: SemiRegularCF) -> Optional[int]:
 
 
 def _check_series(cf: SemiRegularCF) -> Optional[int]:
-    for n in range(len(cf) + 1):
-        c = core.convergent(cf, n)
-        if core.series_partial_sum(cf, n) != c or oracle.fold_eval(cf, n) != c:
-            return n
+    total = cf.b0
+    for s in core.iter_states(cf):
+        if s.n:
+            total += core.series_term(s)
+        c = s.value
+        if total != c or oracle.fold_eval(cf, s.n) != c:
+            return s.n
     return None
 
 
@@ -314,6 +319,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semicf",
@@ -331,18 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=int, default=tails.DEFAULT_MAX_STEPS)
     p.add_argument("--repeat", action="store_true",
                    help="treat the term list as a repeating period")
-    p.add_argument("--decimals", type=int, default=None,
+    p.add_argument("--decimals", type=_nonnegative_int, default=None,
                    help="also print a decimal rendering (display only)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("convergents", help="list convergents 0..N")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_nonnegative_int, required=True)
     p.add_argument("--repeat", action="store_true")
-    p.add_argument("--decimals", type=int, default=None)
+    p.add_argument("--decimals", type=_nonnegative_int, default=None)
     p.set_defaults(func=_cmd_convergents)
 
     p = sub.add_parser("certify", help="error certificate at index N")
-    p.add_argument("-n", type=int, required=True)
+    p.add_argument("-n", type=_nonnegative_int, required=True)
     p.add_argument("--repeat", action="store_true")
     p.set_defaults(func=_cmd_certify)
 

@@ -15,6 +15,8 @@ equality.  All types are immutable; operations return new values.
 from __future__ import annotations
 
 import functools
+import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple, Union
@@ -52,16 +54,68 @@ class Term:
             raise ValueError(f"partial denominator must be positive, got {self.b}")
 
 
+class PeriodicTerms(Sequence):
+    """The first `length` terms of an endlessly repeated period, unrolled lazily.
+
+    Item i (0-based) is period[i % len(period)].  Immutable; compares equal
+    to, and hashes like, the tuple of the same terms (hashing builds that
+    tuple, so it costs O(length)).
+    """
+
+    # A plain class rather than a dataclass: every CLI process imports this
+    # module, and the dataclass decorator would cost more than the class.
+    __slots__ = ("period", "length")
+
+    def __init__(self, period: Tuple[Term, ...], length: int) -> None:
+        object.__setattr__(self, "period", period)
+        object.__setattr__(self, "length", length)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"PeriodicTerms(period={self.period!r}, length={self.length!r})"
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __getitem__(self, i):
+        p = len(self.period)
+        if isinstance(i, slice):
+            return tuple(self.period[j % p] for j in range(self.length)[i])
+        return self.period[range(self.length)[i] % p]
+
+    def __iter__(self) -> Iterator[Term]:
+        return itertools.islice(itertools.cycle(self.period), self.length)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, PeriodicTerms):
+            # Sequences with periods p and q that agree on their first p + q
+            # terms agree everywhere (Fine and Wilf).
+            k = min(self.length, len(self.period) + len(other.period))
+            return self.length == other.length and self[:k] == other[:k]
+        if isinstance(other, tuple):
+            return self.length == len(other) and tuple(self) == other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class SemiRegularCF:
-    """A finite sequence b0; (a1, b1), (a2, b2), ... with 1-based term indices."""
+    """A finite sequence b0; (a1, b1), (a2, b2), ... with 1-based term indices.
+
+    `terms` is a tuple, or a PeriodicTerms for sequences built by periodic().
+    """
 
     b0: Fraction
-    terms: Tuple[Term, ...] = ()
+    terms: Sequence = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b0", Fraction(self.b0))
-        object.__setattr__(self, "terms", tuple(self.terms))
+        if not isinstance(self.terms, PeriodicTerms):
+            object.__setattr__(self, "terms", tuple(self.terms))
 
     @classmethod
     def from_pairs(
@@ -76,14 +130,14 @@ class SemiRegularCF:
         pairs: Iterable[Tuple[int, RationalLike]],
         length: int,
     ) -> "SemiRegularCF":
-        """Unroll a periodic term list to `length` terms."""
+        """The first `length` terms of the repeated period; term n is
+        pairs[(n - 1) % len(pairs)].  Nothing is unrolled up front."""
         period = tuple(Term(a, Fraction(b)) for a, b in pairs)
         if not period:
             raise ValueError("periodic continuation needs a nonempty period")
         if length < 0:
             raise ValueError("length must be nonnegative")
-        terms = tuple(period[i % len(period)] for i in range(length))
-        return cls(Fraction(b0), terms)
+        return cls(Fraction(b0), PeriodicTerms(period, length))
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -144,7 +198,12 @@ def validate(cf: SemiRegularCF, upto: Optional[int] = None) -> ValidationReport:
         upto = available
     if upto > available:
         raise InsufficientTerms(f"requested {upto} of {available} terms")
-    for n in range(1, upto + 1):
+    scan = upto
+    if isinstance(cf.terms, PeriodicTerms):
+        # With period p, a violation at n > p repeats at n - p, so indices
+        # 1..p (the gap at p reads a_{p+1} = a_1) decide the whole sequence.
+        scan = min(upto, len(cf.terms.period))
+    for n in range(1, scan + 1):
         t = cf.term(n)
         if t.b < 1:
             return ValidationReport(False, Violation(n, B_TOO_SMALL))
@@ -269,12 +328,15 @@ def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
     if n > len(cf):
         raise InsufficientTerms(f"requested {n} of {len(cf)} terms")
     total = cf.b0
-    prod = 1
     for k in range(1, n + 1):
-        prod *= cf.a(k)
-        num = prod if k % 2 == 1 else -prod
-        total += Fraction(num) / (states[k - 1].q_cur * states[k].q_cur)
+        total += series_term(states[k])
     return total
+
+
+def series_term(s: ConvergentState) -> Fraction:
+    """The n-th series term (-1)^{n-1} a_1...a_n / (q_{n-1} q_n), for n >= 1."""
+    num = s.det_product if s.n % 2 == 1 else -s.det_product
+    return Fraction(num) / (s.q_prev * s.q_cur)
 
 
 def gap(s: ConvergentState, a_next: int) -> Fraction:

@@ -62,6 +62,14 @@ class TestParse:
         doc = serialize_cf(corpus_cf(5))
         assert serialize_cf(parse_cf(doc)) == doc
 
+    def test_deep_nesting_is_a_parse_error(self, monkeypatch, capsys):
+        text = "[" * 100000 + "]" * 100000
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_cf(text)
+        code, out = run_cli(monkeypatch, capsys, ["check"], stdin=text)
+        assert code == 1
+        assert json.loads(out)["error"] == "parse error"
+
 
 class TestExpandCommand:
     def test_negative(self, monkeypatch, capsys):
@@ -141,6 +149,22 @@ class TestEvalCommand:
         doc = json.loads(out)
         assert doc["first_violation"] == {"index": 1, "reason": "GapViolation"}
 
+    def test_cost_does_not_depend_on_max_steps(self, monkeypatch, capsys):
+        stdin = '{"b0":"1","terms":[{"a":1,"b":"1"}]}'
+        argv = ["eval", "--eps", "1/100", "--repeat", "--max-steps", str(10**12)]
+        code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["approximation"] == "21/13" and doc["steps_used"] == 6
+
+    def test_repeat_reports_wrap_gap_violation(self, monkeypatch, capsys):
+        # b_2 + a_3 = b_2 + a_1 = 1 - 1 < 1 once the period wraps
+        stdin = '{"b0":"0","terms":[{"a":-1,"b":"2"},{"a":1,"b":"1"}]}'
+        argv = ["eval", "--eps", "1/100", "--repeat", "--max-steps", str(10**12)]
+        code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        assert code == 1
+        assert json.loads(out)["first_violation"] == {"index": 2, "reason": "GapViolation"}
+
     def test_decimals_display(self, monkeypatch, capsys):
         code, out = run_cli(
             monkeypatch,
@@ -213,3 +237,26 @@ class TestCheckCommand:
 def test_usage_error_exit_2(monkeypatch, capsys):
     code, _ = run_cli(monkeypatch, capsys, ["nope"])
     assert code == 2
+
+
+class _UnreadableStdin:
+    def read(self, *args):
+        raise AssertionError("stdin read before the arguments were checked")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["convergents", "-n", "-1"], "-n"),
+        (["certify", "-n", "-1"], "-n"),
+        (["eval", "--eps", "1/10", "--decimals", "-3"], "--decimals"),
+        (["convergents", "-n", "2", "--decimals", "-1"], "--decimals"),
+    ],
+)
+def test_negative_counts_are_usage_errors(monkeypatch, capsys, argv, flag):
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be >= 0" in captured.err

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicf import (
@@ -77,6 +77,60 @@ class TestValidate:
     def test_upto_beyond_length(self):
         with pytest.raises(InsufficientTerms):
             validate(golden(3), upto=4)
+
+
+class TestPeriodic:
+    def test_terms_repeat_the_period(self):
+        cf = SemiRegularCF.periodic(2, [(1, 3), (-1, Fraction(5, 2))], 5)
+        assert len(cf) == 5
+        assert [cf.b(n) for n in range(1, 6)] == [3, Fraction(5, 2), 3, Fraction(5, 2), 3]
+        assert [cf.a(n) for n in range(1, 6)] == [1, -1, 1, -1, 1]
+        assert cf.terms[-1] == cf.term(5) and cf.terms[1:4] == cf.prefix(4).terms[1:]
+        with pytest.raises(InsufficientTerms):
+            cf.term(6)
+
+    def test_prefix_is_tuple_backed(self):
+        cf = SemiRegularCF.periodic(1, [(1, 1)], 10)
+        assert type(cf.prefix(4).terms) is tuple
+        assert cf.prefix(4) == golden(4)
+
+    def test_huge_length_costs_only_the_period(self):
+        cf = SemiRegularCF.periodic(1, [(1, 1)], 10**12)
+        assert cf.b(10**12) == 1
+        assert len(cf) == 10**12
+        assert validate(cf).valid
+
+    def test_equal_periodic_sequences_with_different_periods(self):
+        one = SemiRegularCF.periodic(1, [(1, 1)], 10**12)
+        two = SemiRegularCF.periodic(1, [(1, 1), (1, 1)], 10**12)
+        other = SemiRegularCF.periodic(1, [(1, 1), (1, 2)], 10**12)
+        assert one == two and one != other
+
+
+PERIOD_TERMS = st.tuples(
+    st.sampled_from([1, -1]),
+    st.one_of(
+        st.integers(1, 3),
+        st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=3),
+    ),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(b0=st.integers(-3, 3), period=st.lists(PERIOD_TERMS, min_size=1, max_size=6))
+@example(b0=0, period=[(-1, 2), (1, 1)])  # wrap gap b_2 + a_1 < 1
+@example(b0=0, period=[(1, 1), (-1, 2)])  # in-period gap
+@example(b0=0, period=[(1, 2), (1, Fraction(1, 2))])  # BTooSmall
+def test_periodic_matches_eager_unroll(b0, period):
+    """Validating the first p indices decides a periodic sequence of any length."""
+    p = len(period)
+    for horizon in range(3 * p + 3):
+        lazy = SemiRegularCF.periodic(b0, period, horizon)
+        eager = SemiRegularCF.from_pairs(b0, [period[i % p] for i in range(horizon)])
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        for upto in range(horizon + 1):
+            assert validate(lazy, upto) == validate(eager, upto)
 
 
 class TestRecurrence:
