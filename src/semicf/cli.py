@@ -43,10 +43,12 @@ CHECK_TAIL_HORIZON = 30
 def _parse_rational(value: Any, where: str) -> Fraction:
     if not isinstance(value, str) or not _RATIONAL_RE.match(value):
         raise ParseError(f"{where}: expected a rational string like '7/3', got {value!r}")
-    num, _, den = value.partition("/")
-    if den and int(den) == 0:
-        raise ParseError(f"{where}: zero denominator in {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ParseError(f"{where}: zero denominator in {value!r}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def parse_cf(text: Union[str, bytes]) -> SemiRegularCF:
@@ -59,6 +61,8 @@ def parse_cf(text: Union[str, bytes]) -> SemiRegularCF:
         ) from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
+    except ValueError as exc:  # a JSON number with more digits than int() converts
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
     extra = set(doc) - {"b0", "terms"}
@@ -253,11 +257,11 @@ def _check_series(cf: SemiRegularCF) -> Optional[int]:
 
 def _check_tail_bounds(cf: SemiRegularCF, horizon: int) -> Optional[int]:
     for end in range(1, horizon + 1):
-        try:
-            xs = tails._tail_sweep(cf, end)
-        except DenominatorBelowOne:
-            return end
-        for m, x in enumerate(xs):
+        for m in range(end):
+            try:
+                x = tails.tail(cf, m, end - m).value
+            except DenominatorBelowOne:
+                return end
             a_next = cf.a(m + 1)
             if a_next == 1 and not (0 < x <= 1):
                 return end
@@ -319,13 +323,14 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _nonnegative_int(text: str) -> int:
+def _count(text: str) -> int:
+    """A nonnegative int below sys.maxsize, so a horizon of value + 1 terms has a len()."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0 <= value < sys.maxsize:
+        raise argparse.ArgumentTypeError(f"must be >= 0 and < {sys.maxsize}, got {value}")
     return value
 
 
@@ -343,21 +348,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate stdin document to certified accuracy")
     p.add_argument("--eps", required=True, help="target accuracy as a rational")
-    p.add_argument("--max-steps", type=int, default=tails.DEFAULT_MAX_STEPS)
+    p.add_argument("--max-steps", type=_count, default=tails.DEFAULT_MAX_STEPS)
     p.add_argument("--repeat", action="store_true",
                    help="treat the term list as a repeating period")
-    p.add_argument("--decimals", type=_nonnegative_int, default=None,
+    p.add_argument("--decimals", type=_count, default=None,
                    help="also print a decimal rendering (display only)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("convergents", help="list convergents 0..N")
-    p.add_argument("-n", type=_nonnegative_int, required=True)
+    p.add_argument("-n", type=_count, required=True)
     p.add_argument("--repeat", action="store_true")
-    p.add_argument("--decimals", type=_nonnegative_int, default=None)
+    p.add_argument("--decimals", type=_count, default=None)
     p.set_defaults(func=_cmd_convergents)
 
     p = sub.add_parser("certify", help="error certificate at index N")
-    p.add_argument("-n", type=_nonnegative_int, required=True)
+    p.add_argument("-n", type=_count, required=True)
     p.add_argument("--repeat", action="store_true")
     p.set_defaults(func=_cmd_certify)
 

@@ -14,12 +14,11 @@ equality.  All types are immutable; operations return new values.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import IdentityViolation, InsufficientTerms, TietzeViolation
 
@@ -28,11 +27,6 @@ RationalLike = Union[int, str, Fraction]
 #: Violation reasons reported by validate().
 B_TOO_SMALL = "BTooSmall"
 GAP_VIOLATION = "GapViolation"
-
-
-def rational(x: RationalLike) -> Fraction:
-    """Coerce to a reduced Fraction."""
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -111,11 +105,16 @@ class SemiRegularCF:
 
     b0: Fraction
     terms: Sequence = ()
+    # A memo freed with the sequence: _states[k] is the recurrence window after
+    # terms 1..k, and _sweep the latest tail sweep (end, xs), kept by tails.
+    _states: List[ConvergentState] = field(init=False, compare=False, repr=False)
+    _sweep: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "b0", Fraction(self.b0))
         if not isinstance(self.terms, PeriodicTerms):
             object.__setattr__(self, "terms", tuple(self.terms))
+        object.__setattr__(self, "_states", [init_state(self.b0)])
 
     @classmethod
     def from_pairs(
@@ -159,19 +158,6 @@ class SemiRegularCF:
         if not 0 <= n <= len(self.terms):
             raise InsufficientTerms(f"prefix length {n} outside 0..{len(self.terms)}")
         return SemiRegularCF(self.b0, self.terms[:n])
-
-
-def _cf_cached_hash(self: SemiRegularCF) -> int:
-    h = self.__dict__.get("_hash_cache")
-    if h is None:
-        h = hash((self.b0, self.terms))
-        object.__setattr__(self, "_hash_cache", h)
-    return h
-
-
-# Hashing term-by-term on every memoized lookup dominates runtime for long
-# sequences; instances are immutable, so the hash can be computed once.
-SemiRegularCF.__hash__ = _cf_cached_hash  # type: ignore[method-assign]
 
 
 @dataclass(frozen=True)
@@ -282,17 +268,22 @@ def iter_states(
         yield s
 
 
-@functools.lru_cache(maxsize=64)
-def _states(cf: SemiRegularCF) -> Tuple[ConvergentState, ...]:
-    # Sequences are immutable, so the full state table can be cached.
-    return tuple(iter_states(cf))
+def _states_through(cf: SemiRegularCF, n: int) -> List[ConvergentState]:
+    """cf's memoized states, extended on demand through index n <= len(cf)."""
+    states = cf._states
+    while len(states) <= n:
+        s = states[-1]
+        # Write slot s.n + 1 rather than append: a thread racing on the same
+        # sequence then stores an equal state there instead of misplacing one.
+        states[s.n + 1:s.n + 2] = [step(s, cf.term(s.n + 1), checked=False)]
+    return states
 
 
 def state_at(cf: SemiRegularCF, n: int) -> ConvergentState:
-    """The recurrence window after consuming terms 1..n."""
+    """The recurrence window after consuming terms 1..n; costs O(n), not O(len(cf))."""
     if n < 0 or n > len(cf):
         raise InsufficientTerms(f"state index {n} outside 0..{len(cf)}")
-    return _states(cf)[n]
+    return _states_through(cf, n)[n]
 
 
 def convergent(cf: SemiRegularCF, n: int) -> Fraction:
@@ -324,9 +315,9 @@ def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
     Each term is (-1)^{k-1} a_1...a_k / (q_{k-1} q_k); the partial sum equals
     convergent(cf, n) exactly.
     """
-    states = _states(cf)
     if n > len(cf):
         raise InsufficientTerms(f"requested {n} of {len(cf)} terms")
+    states = _states_through(cf, n)
     total = cf.b0
     for k in range(1, n + 1):
         total += series_term(states[k])

@@ -19,7 +19,6 @@ deeper convergents simultaneously and needs only one term of lookahead.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -75,9 +74,12 @@ class EvalResult:
     exact: bool
 
 
-@functools.lru_cache(maxsize=64)
 def _tail_sweep(cf: SemiRegularCF, end: int) -> Tuple[Fraction, ...]:
     """One backward pass ending at term `end`; entry m holds x_{m, end-m}."""
+    # cf keeps only its latest sweep: the queries of one check share an `end`.
+    last = cf._sweep
+    if last is not None and last[0] == end:
+        return last[1]
     if end < 1:
         raise ValueError("tail sweep needs end >= 1")
     if end > len(cf):
@@ -95,7 +97,9 @@ def _tail_sweep(cf: SemiRegularCF, end: int) -> Tuple[Fraction, ...]:
             )
         x = cf.a(m + 1) / den
         xs[m] = x
-    return tuple(xs)
+    sweep = tuple(xs)
+    object.__setattr__(cf, "_sweep", (end, sweep))
+    return sweep
 
 
 def tail(cf: SemiRegularCF, n: int, k: int) -> TailValue:

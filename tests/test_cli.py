@@ -260,3 +260,54 @@ def test_negative_counts_are_usage_errors(monkeypatch, capsys, argv, flag):
     assert code == 2
     assert captured.out == ""
     assert f"argument {flag}: must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["eval", "--eps", "1/100", "--repeat", "--max-steps", str(sys.maxsize)], "--max-steps"),
+        (["convergents", "-n", str(sys.maxsize + 1), "--repeat"], "-n"),
+        (["certify", "-n", str(sys.maxsize), "--repeat"], "-n"),
+    ],
+    ids=["eval", "convergents", "certify"],
+)
+def test_horizons_beyond_maxsize_are_usage_errors(monkeypatch, capsys, argv, flag):
+    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: must be >= 0 and < {sys.maxsize}" in captured.err
+
+
+def test_largest_accepted_horizon(monkeypatch, capsys):
+    code, out = run_cli(
+        monkeypatch, capsys, ["certify", "-n", str(sys.maxsize - 1)], stdin=GOLDEN_DOC
+    )
+    assert code == 1
+    assert json.loads(out) == {"error": "insufficient terms", "available": 8}
+
+
+HUGE = "1" * 5000  # over Python's default 4300-digit int/str conversion limit
+
+
+@pytest.mark.parametrize(
+    "argv, stdin",
+    [
+        (["check"], '{"b0":"%s","terms":[]}' % HUGE),
+        (["check"], '{"b0":%s,"terms":[]}' % HUGE),
+        (["check"], '{"b0":"1","terms":[{"a":1,"b":"1/%s"}]}' % HUGE),
+        (["eval", "--eps", "1/" + HUGE], GOLDEN_DOC),
+    ],
+    ids=["b0", "b0-json-number", "b", "eps"],
+)
+def test_oversized_numbers_are_parse_errors(monkeypatch, capsys, argv, stdin):
+    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    assert code == 1
+    assert json.loads(out)["error"] == "parse error"
+
+
+def test_oversized_expand_argument_is_usage_error(monkeypatch, capsys):
+    code, out = run_cli(monkeypatch, capsys, ["expand", "--algo", "regular", HUGE])
+    assert code == 2
+    assert out == ""

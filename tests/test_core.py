@@ -1,3 +1,6 @@
+import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -269,3 +272,31 @@ def test_random_sequences_satisfy_exact_identities(
             assert gap(s, cf.a(s.n + 1)) >= 1
     assert series_partial_sum(cf, length) == convergent(cf, length)
     assert fold_eval(cf, length) == convergent(cf, length)
+
+
+def test_threads_sharing_a_sequence_extend_its_states_in_place():
+    cf = random_tietze(RandomSpec(seed=11, length=200))
+    fresh = SemiRegularCF(cf.b0, cf.terms)
+    expected = [state_at(fresh, n) for n in range(201)]
+    wrong = []
+
+    def query(seed):
+        rng = random.Random(seed)
+        for _ in range(100):
+            n = rng.randint(0, 200)
+            if state_at(cf, n) != expected[n]:
+                wrong.append(n)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert [state_at(cf, n) for n in range(201)] == expected

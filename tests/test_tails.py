@@ -1,18 +1,26 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicf import (
     ALL_MINUS_TAIL,
     PLUS_ANCHOR,
     BudgetExhausted,
+    RandomSpec,
     SemiRegularCF,
     anchor_index,
     certify,
     convergent,
     error_bound,
     evaluate,
+    random_tietze,
+    series_partial_sum,
     shift_check,
+    state_at,
     tail,
     uniform_step_bound,
 )
@@ -185,3 +193,59 @@ class TestEvaluate:
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             evaluate(golden(5), Fraction(0))
+
+
+# Every query the per-sequence memo serves, as (name, function of cf, n, k);
+# each is defined for 0 <= n < len(cf) and 1 <= k <= len(cf) - n.
+QUERIES = [
+    ("state_at", lambda cf, n, k: state_at(cf, n + k)),
+    ("convergent", lambda cf, n, k: convergent(cf, n + k)),
+    ("series_partial_sum", lambda cf, n, k: series_partial_sum(cf, n + k)),
+    ("tail", lambda cf, n, k: tail(cf, n, k)),
+    ("shift_check", lambda cf, n, k: shift_check(cf, n, k)),
+    ("error_bound", lambda cf, n, k: error_bound(cf, n, k)),
+    ("uniform_step_bound", lambda cf, n, k: uniform_step_bound(cf, n)),
+    ("certify", lambda cf, n, k: certify(cf, n)),
+]
+
+
+class TestMemo:
+    def test_freed_with_the_sequence(self):
+        cf = corpus_cf(40)
+        ref = weakref.ref(cf)
+        state_at(cf, len(cf))
+        tail(cf, 0, len(cf))
+        certify(cf, len(cf) - 1)
+        del cf
+        gc.collect()
+        assert ref() is None
+
+    def test_queries_on_a_huge_periodic_sequence_cost_their_index(self):
+        lazy = SemiRegularCF.periodic(1, [(1, 1)], 10**12)
+        eager = golden(60)
+        for end in range(1, 51):
+            for n in range(end):
+                for name, query in QUERIES:
+                    assert query(lazy, n, end - n) == query(eager, n, end - n), name
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    seed=st.integers(0, 2**32),
+    length=st.integers(1, 30),
+    integer_only=st.booleans(),
+    data=st.data(),
+)
+def test_memoized_queries_match_a_fresh_sequence(seed, length, integer_only, data):
+    """Queries in any order on one sequence answer as on a fresh copy."""
+    spec = RandomSpec(
+        seed=seed, length=length, minus_probability=Fraction(1, 2), integer_only=integer_only
+    )
+    cf = random_tietze(spec)
+    for _ in range(data.draw(st.integers(1, 20))):
+        name, query = data.draw(st.sampled_from(QUERIES))
+        n = data.draw(st.integers(0, length - 1))
+        k = data.draw(st.integers(1, length - n))
+        assert query(cf, n, k) == query(random_tietze(spec), n, k), name
+    fresh = random_tietze(spec)
+    assert cf == fresh and hash(cf) == hash((cf.b0, cf.terms)) and repr(cf) == repr(fresh)
