@@ -59,51 +59,3 @@ from .tails import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ALL_MINUS_TAIL",
-    "B_TOO_SMALL",
-    "BudgetExhausted",
-    "CFError",
-    "ConvergentState",
-    "DEFAULT_MAX_STEPS",
-    "DenominatorBelowOne",
-    "ErrorCertificate",
-    "EvalResult",
-    "ExpansionAlgo",
-    "GAP_VIOLATION",
-    "IdentityViolation",
-    "InsufficientTerms",
-    "PLUS_ANCHOR",
-    "ParseError",
-    "RandomSpec",
-    "SemiRegularCF",
-    "TailValue",
-    "Term",
-    "TietzeViolation",
-    "ValidationReport",
-    "Violation",
-    "ZeroDenominator",
-    "anchor_index",
-    "certify",
-    "convergent",
-    "determinant_check",
-    "error_bound",
-    "evaluate",
-    "expand",
-    "fold_eval",
-    "gap",
-    "init_state",
-    "iter_states",
-    "nearest_int_expand",
-    "negative_expand",
-    "random_tietze",
-    "regular_expand",
-    "series_partial_sum",
-    "shift_check",
-    "state_at",
-    "step",
-    "tail",
-    "uniform_step_bound",
-    "validate",
-]

@@ -20,7 +20,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from . import core, oracle, tails
 from .core import SemiRegularCF, Term, validate
@@ -38,6 +38,10 @@ _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 #: Tail-based checks are quadratic in the horizon; `check` caps them here.
 CHECK_TAIL_HORIZON = 30
+
+#: The checks `check` reports, in order.
+CHECKS = ("lemma1", "determinant", "series_equivalence",
+          "tail_bounds", "shift_identity", "error_bounds")
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
@@ -96,17 +100,35 @@ def serialize_cf(cf: SemiRegularCF) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
+class _OutputTooLarge(Exception):
+    """A number in the result has more digits than int/str conversion allows."""
+
+
 def _decimal_str(x: Fraction, places: int) -> str:
-    scaled = round(x * 10**places)
+    limit = sys.get_int_max_str_digits()
+    # |x| >= 1/denominator > 2**-bits, so beyond this x * 10**places has more
+    # than `limit` digits, and the power of ten need not be built to say so.
+    if x and limit and places > limit + x.denominator.bit_length():
+        raise _OutputTooLarge
+    scaled = round(x * 10**places) if x else 0
     sign = "-" if scaled < 0 else ""
-    digits = str(abs(scaled)).rjust(places + 1, "0")
+    try:
+        digits = str(abs(scaled))
+    except ValueError:  # more digits than str() converts
+        raise _OutputTooLarge from None
+    digits = digits.rjust(places + 1, "0")
     if places == 0:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
 def _emit(doc: Any) -> None:
-    sys.stdout.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    """Write doc as one JSON line; Fractions in it are written as strings."""
+    try:
+        text = json.dumps(doc, separators=(",", ":"), default=str)
+    except ValueError:  # a Fraction with more digits than str() converts
+        raise _OutputTooLarge from None
+    sys.stdout.write(text + "\n")
 
 
 def _read_cf(args: argparse.Namespace, horizon: int) -> SemiRegularCF:
@@ -164,13 +186,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             {
                 "error": "budget exhausted",
                 "max_steps": exc.max_steps,
-                "best_bound": str(exc.best_bound),
+                "best_bound": exc.best_bound,
             }
         )
         return 3
     doc = {
-        "approximation": str(result.approximation),
-        "certified_error": str(result.certified_error),
+        "approximation": result.approximation,
+        "certified_error": result.certified_error,
         "steps_used": result.steps_used,
         "exact": result.exact,
     }
@@ -192,9 +214,9 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
     for s in core.iter_states(cf, args.n):
         row = {
             "n": s.n,
-            "p": str(s.p_cur),
-            "q": str(s.q_cur),
-            "value": str(s.value),
+            "p": s.p_cur,
+            "q": s.q_cur,
+            "value": s.value,
         }
         if args.decimals is not None:
             row["decimal"] = _decimal_str(s.value, args.decimals)
@@ -218,78 +240,50 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             "n": cert.n,
             "anchor": cert.anchor,
             "regime": cert.regime,
-            "bound": str(cert.bound),
+            "bound": cert.bound,
         }
     )
     return 0
 
 
-def _check_lemma1(cf: SemiRegularCF) -> Optional[int]:
-    for s in core.iter_states(cf):
-        if s.q_cur < 1:
-            return s.n
-        if s.n < len(cf) and core.gap(s, cf.a(s.n + 1)) < 1:
-            return s.n
-    return None
+def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
+    """The first index at which each check fails, or None where it passes.
 
+    One pass over the states checks the recurrence identities and the fold
+    oracle.  One end-major pass over ends 1..CHECK_TAIL_HORIZON checks the
+    tails, so the queries of one end share one tail sweep.  A check fails
+    where its condition is false or the library raises an identity error,
+    and is not run again once it has failed.
+    """
+    first: Dict[str, Optional[int]] = dict.fromkeys(CHECKS)
 
-def _check_determinant(cf: SemiRegularCF) -> Optional[int]:
-    for s in core.iter_states(cf):
-        if s.n < 1:
-            continue
-        try:
-            core.determinant_check(s)
-        except IdentityViolation:
-            return s.n
-    return None
+    def run(name: str, index: int, holds: Callable[[], bool]) -> None:
+        if first[name] is None:
+            try:
+                ok = holds()
+            except (IdentityViolation, DenominatorBelowOne):
+                ok = False
+            if not ok:
+                first[name] = index
 
-
-def _check_series(cf: SemiRegularCF) -> Optional[int]:
     total = cf.b0
     for s in core.iter_states(cf):
-        if s.n:
+        n, c = s.n, s.value
+        if n:
             total += core.series_term(s)
-        c = s.value
-        if total != c or oracle.fold_eval(cf, s.n) != c:
-            return s.n
-    return None
-
-
-def _check_tail_bounds(cf: SemiRegularCF, horizon: int) -> Optional[int]:
-    for end in range(1, horizon + 1):
-        for m in range(end):
-            try:
-                x = tails.tail(cf, m, end - m).value
-            except DenominatorBelowOne:
-                return end
-            a_next = cf.a(m + 1)
-            if a_next == 1 and not (0 < x <= 1):
-                return end
-            if a_next == -1 and not (-1 <= x < 0):
-                return end
-    return None
-
-
-def _check_shift(cf: SemiRegularCF, horizon: int) -> Optional[int]:
-    for end in range(1, horizon + 1):
+        run("lemma1", n,
+            lambda: s.q_cur >= 1 and (n == len(cf) or core.gap(s, cf.a(n + 1)) >= 1))
+        run("determinant", n, lambda: n == 0 or core.determinant_check(s) in (1, -1))
+        run("series_equivalence", n, lambda: total == c == oracle.fold_eval(cf, n))
+    for end in range(1, min(len(cf), CHECK_TAIL_HORIZON) + 1):
+        deep = core.convergent(cf, end)
         for n in range(end):
-            try:
-                tails.shift_check(cf, n, end - n)
-            except IdentityViolation:
-                return end
-    return None
-
-
-def _check_error_bounds(cf: SemiRegularCF, horizon: int) -> Optional[int]:
-    for end in range(1, horizon + 1):
-        for n in range(end):
-            try:
-                bound = tails.error_bound(cf, n, end - n)
-            except IdentityViolation:
-                return end
-            if n + 1 <= len(cf) and bound > tails.uniform_step_bound(cf, n):
-                return end
-    return None
+            k = end - n
+            run("tail_bounds", end, lambda: 0 < tails.tail(cf, n, k).value * cf.a(n + 1) <= 1)
+            run("shift_identity", end, lambda: tails.shift_check(cf, n, k) == deep)
+            run("error_bounds", end,
+                lambda: tails.error_bound(cf, n, k) <= tails.uniform_step_bound(cf, n))
+    return first
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -305,22 +299,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
             }
         )
         return 1
-    horizon = min(len(cf), CHECK_TAIL_HORIZON)
-    results = [
-        ("lemma1", _check_lemma1(cf)),
-        ("determinant", _check_determinant(cf)),
-        ("series_equivalence", _check_series(cf)),
-        ("tail_bounds", _check_tail_bounds(cf, horizon)),
-        ("shift_identity", _check_shift(cf, horizon)),
-        ("error_bounds", _check_error_bounds(cf, horizon)),
-    ]
     checks = [
         {"name": name, "pass": first is None, "first_failure": first}
-        for name, first in results
+        for name, first in _first_failures(cf).items()
     ]
-    ok = all(c["pass"] for c in checks)
     _emit({"valid": True, "checks": checks})
-    return 0 if ok else 1
+    return 0 if all(c["pass"] for c in checks) else 1
 
 
 def _count(text: str) -> int:
@@ -381,6 +365,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except ParseError as exc:
         _emit({"error": "parse error", "detail": str(exc)})
+        return 1
+    except _OutputTooLarge:
+        limit = sys.get_int_max_str_digits()
+        detail = f"a number in the result has over {limit} digits (PYTHONINTMAXSTRDIGITS)"
+        _emit({"error": "output too large", "detail": detail})
         return 1
     except CFError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})

@@ -190,12 +190,20 @@ def validate(cf: SemiRegularCF, upto: Optional[int] = None) -> ValidationReport:
         # 1..p (the gap at p reads a_{p+1} = a_1) decide the whole sequence.
         scan = min(upto, len(cf.terms.period))
     for n in range(1, scan + 1):
-        t = cf.term(n)
-        if t.b < 1:
-            return ValidationReport(False, Violation(n, B_TOO_SMALL))
-        if n < available and t.b + cf.a(n + 1) < 1:
-            return ValidationReport(False, Violation(n, GAP_VIOLATION))
+        reason = _tietze_violation(cf.b(n), cf.a(n + 1) if n < available else None)
+        if reason:
+            return ValidationReport(False, Violation(n, reason))
     return ValidationReport(True, None)
+
+
+def _tietze_violation(b: Fraction, a_next: Optional[int]) -> Optional[str]:
+    """The condition a term with denominator b breaks, if any: b >= 1, then the
+    gap b + a_next >= 1 (a_next is None for the last term, which is exempt)."""
+    if b < 1:
+        return B_TOO_SMALL
+    if a_next is not None and b + a_next < 1:
+        return GAP_VIOLATION
+    return None
 
 
 @dataclass(frozen=True)
@@ -234,14 +242,11 @@ def step(s: ConvergentState, t: Term, *, checked: bool = True) -> ConvergentStat
     probe invalid sequences.
     """
     if checked:
-        if t.b < 1:
-            raise TietzeViolation(
-                f"b_{s.n + 1} = {t.b} < 1"
-            )
-        if s.last_b is not None and s.last_b + t.a < 1:
-            raise TietzeViolation(
-                f"b_{s.n} + a_{s.n + 1} = {s.last_b} + ({t.a}) < 1"
-            )
+        # Term n against a_{n+1}, then term n+1 alone: validate's order.
+        for n, b, a_next in ((s.n, s.last_b, t.a), (s.n + 1, t.b, None)):
+            reason = b is not None and _tietze_violation(b, a_next)
+            if reason:
+                raise TietzeViolation(f"{reason} at index {n} (b_{n} = {b})")
     return ConvergentState(
         s.n + 1,
         s.p_cur,

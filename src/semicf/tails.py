@@ -21,16 +21,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import List, Optional
 
 from .core import (
     ConvergentState,
     RationalLike,
     SemiRegularCF,
     convergent,
-    init_state,
+    iter_states,
     state_at,
-    step,
 )
 from .errors import (
     BudgetExhausted,
@@ -74,45 +73,42 @@ class EvalResult:
     exact: bool
 
 
-def _tail_sweep(cf: SemiRegularCF, end: int) -> Tuple[Fraction, ...]:
-    """One backward pass ending at term `end`; entry m holds x_{m, end-m}."""
-    # cf keeps only its latest sweep: the queries of one check share an `end`.
-    last = cf._sweep
-    if last is not None and last[0] == end:
-        return last[1]
-    if end < 1:
-        raise ValueError("tail sweep needs end >= 1")
-    if end > len(cf):
-        raise InsufficientTerms(f"requested {end} of {len(cf)} terms")
-    xs = [Fraction(0)] * end
-    if cf.b(end) < 1:
-        raise DenominatorBelowOne(f"b_{end} = {cf.b(end)} < 1")
-    x = Fraction(cf.a(end)) / cf.b(end)
-    xs[end - 1] = x
-    for m in range(end - 2, -1, -1):
-        den = cf.b(m + 1) + x
+def _tail_sweep(cf: SemiRegularCF, end: int, k: int) -> List[Fraction]:
+    """The tails that end at term `end`, through depth k: entry j is x_{end-j-1, j+1}.
+
+    cf keeps the sweep of its latest `end`, extended back on demand, so the
+    queries of one end share one sweep of the largest depth they ask for.
+    """
+    memo = cf._sweep
+    if memo is None or memo[0] != end:
+        memo = (end, [])
+        object.__setattr__(cf, "_sweep", memo)
+    xs = memo[1]
+    while len(xs) < k:
+        j = len(xs)
+        m = end - j  # x_{m-1, j+1} = a_m / (b_m + x_{m, j}), with x_{m, 0} = 0
+        den = cf.b(m) + (xs[j - 1] if j else 0)
         if den < 1:
-            raise DenominatorBelowOne(
-                f"b_{m + 1} + x_{m + 1},{end - m - 1} = {den} < 1"
-            )
-        x = cf.a(m + 1) / den
-        xs[m] = x
-    sweep = tuple(xs)
-    object.__setattr__(cf, "_sweep", (end, sweep))
-    return sweep
+            raise DenominatorBelowOne(f"b_{m} + x_{m},{j} = {den} < 1")
+        # Write slot j rather than append, as core._states_through does.
+        xs[j:j + 1] = [cf.a(m) / den]
+    return xs
 
 
 def tail(cf: SemiRegularCF, n: int, k: int) -> TailValue:
     """x_{n,k}, computed by backward recursion from x_{n+k-1,1} = a_{n+k}/b_{n+k}.
 
     Every intermediate denominator b_{n+j} + x_{n+j,.} is checked to be >= 1;
-    DenominatorBelowOne is impossible for valid sequences.
+    DenominatorBelowOne is impossible for valid sequences.  Costs O(k), not
+    O(n + k).
     """
     if k < 1:
         raise ValueError("tail depth k must be >= 1")
     if n < 0:
         raise ValueError("tail start index n must be >= 0")
-    return TailValue(n, k, _tail_sweep(cf, n + k)[n])
+    if n + k > len(cf):
+        raise InsufficientTerms(f"requested {n + k} of {len(cf)} terms")
+    return TailValue(n, k, _tail_sweep(cf, n + k, k)[k - 1])
 
 
 def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
@@ -220,17 +216,13 @@ def evaluate(
         raise ValueError("eps must be > 0")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    s = init_state(cf.b0)
     best: Optional[Fraction] = None
-    while True:
-        if s.n >= len(cf):
+    for s in iter_states(cf, min(len(cf), max_steps), checked=True):
+        if s.n == len(cf):
             return EvalResult(s.value, Fraction(0), s.n, True)
-        t = cf.term(s.n + 1)
-        bound = _uniform_bound(s, t.a)
+        bound = _uniform_bound(s, cf.a(s.n + 1))
         if bound <= eps:
             return EvalResult(s.value, bound, s.n, False)
         if best is None or bound < best:
             best = bound
-        if s.n >= max_steps:
-            raise BudgetExhausted(max_steps, best)
-        s = step(s, t)
+    raise BudgetExhausted(max_steps, best)

@@ -1,12 +1,15 @@
 import io
 import json
 import sys
+import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from semicf import ParseError, SemiRegularCF
-from semicf.cli import main, parse_cf, serialize_cf
+from semicf import IdentityViolation, ParseError, RandomSpec, SemiRegularCF, random_tietze
+from semicf import cli, core, oracle, tails
+from semicf.cli import CHECK_TAIL_HORIZON, main, parse_cf, serialize_cf
 
 from conftest import corpus_cf, golden
 
@@ -234,6 +237,78 @@ class TestCheckCommand:
         assert doc["first_violation"] == {"index": 1, "reason": "BTooSmall"}
 
 
+CHECK_DOC = serialize_cf(
+    random_tietze(RandomSpec(seed=7, length=40, minus_probability=Fraction(1, 2)))
+)
+
+
+def _fail_from(index, real, bad):
+    """real, except that it answers bad(real, *args) from the check's index `index` on."""
+
+    def call(*args):
+        # args are (state, ...), (cf, n) or (cf, n, k): the index is n or n + k
+        first = args[0]
+        at = first.n if isinstance(first, core.ConvergentState) else sum(args[1:])
+        return bad(real, *args) if at >= index else real(*args)
+
+    return call
+
+
+def _raise(real, *args):
+    raise IdentityViolation("injected")
+
+
+# For each check: the module and the function it calls, the first index at
+# which the injected fault shows, and the fault.
+INJECTED_FAULTS = [
+    ("lemma1", "core", "gap", 3, lambda real, s, a: Fraction(0)),
+    ("determinant", "core", "determinant_check", 4, _raise),
+    ("series_equivalence", "oracle", "fold_eval", 5, lambda real, cf, n: real(cf, n) + 1),
+    ("tail_bounds", "tails", "tail", 6,
+     lambda real, cf, n, k: tails.TailValue(n, k, -real(cf, n, k).value)),
+    ("shift_identity", "tails", "shift_check", 7, _raise),
+    ("error_bounds", "tails", "error_bound", 8, lambda real, cf, n, k: Fraction(2)),
+]
+
+
+@pytest.mark.parametrize(
+    "check, module, func, index, bad", INJECTED_FAULTS, ids=[f[0] for f in INJECTED_FAULTS]
+)
+def test_check_reports_each_failure_on_its_own(monkeypatch, capsys, check, module, func,
+                                                index, bad):
+    """A fault in the call one check makes fails that check alone, first at its index.
+
+    The fault goes into the module as cli sees it, so library functions that
+    call the same function internally still get the real one."""
+    real_module = getattr(cli, module)
+    view = SimpleNamespace(**vars(real_module))
+    setattr(view, func, _fail_from(index, getattr(real_module, func), bad))
+    monkeypatch.setattr(cli, module, view)
+    code, out = run_cli(monkeypatch, capsys, ["check"], stdin=CHECK_DOC)
+    assert code == 1
+    doc = json.loads(out)
+    assert [c["name"] for c in doc["checks"]] == [f[0] for f in INJECTED_FAULTS]
+    for c in doc["checks"]:
+        expected = index if c["name"] == check else None
+        assert (c["pass"], c["first_failure"]) == (expected is None, expected), c["name"]
+
+
+def test_check_starts_one_tail_sweep_per_end(monkeypatch, capsys):
+    real_tail = tails.tail
+    sweeps = []
+
+    def tail(cf, n, k):
+        value = real_tail(cf, n, k)
+        if not sweeps or sweeps[-1] is not cf._sweep:
+            sweeps.append(cf._sweep)
+        return value
+
+    monkeypatch.setattr(tails, "tail", tail)
+    code, _ = run_cli(monkeypatch, capsys, ["check"], stdin=CHECK_DOC)
+    assert code == 0
+    assert len(sweeps) == CHECK_TAIL_HORIZON == 30
+
+
 def test_usage_error_exit_2(monkeypatch, capsys):
     code, _ = run_cli(monkeypatch, capsys, ["nope"])
     assert code == 2
@@ -311,3 +386,41 @@ def test_oversized_expand_argument_is_usage_error(monkeypatch, capsys):
     code, out = run_cli(monkeypatch, capsys, ["expand", "--algo", "regular", HUGE])
     assert code == 2
     assert out == ""
+
+
+def _assert_output_too_large(code, out):
+    assert code == 1 and out.count("\n") == 1
+    assert json.loads(out)["error"] == "output too large"
+
+
+def test_convergents_over_the_digit_limit(monkeypatch, capsys):
+    big = "9" * 4000  # p_2 = b_1 b_2 + 1 has about 8000 digits
+    stdin = '{"b0":"0","terms":[{"a":1,"b":"%s"},{"a":1,"b":"%s"}]}' % (big, big)
+    code, out = run_cli(monkeypatch, capsys, ["convergents", "-n", "2"], stdin=stdin)
+    _assert_output_too_large(code, out)
+
+
+@pytest.mark.parametrize("decimals", [5000, 10**7, sys.maxsize - 1])
+def test_decimals_over_the_digit_limit(monkeypatch, capsys, decimals):
+    stdin = '{"b0":"1","terms":[{"a":1,"b":"1"}]}'
+    argv = ["eval", "--eps", "1/100", "--repeat", "--decimals", str(decimals)]
+    start = time.perf_counter()
+    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    assert time.perf_counter() - start < 1  # the power of ten is never built
+    _assert_output_too_large(code, out)
+
+
+def test_decimals_beyond_the_digit_limit_that_fit(monkeypatch, capsys):
+    # 10**-4000 to 5000 places: 10**1000 has 1001 digits, inside the limit.
+    stdin = '{"b0":"0","terms":[{"a":1,"b":"1%s"}]}' % ("0" * 4000)
+    argv = ["eval", "--eps", "1/100", "--decimals", "5000"]
+    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    assert code == 0
+    assert json.loads(out)["decimal"] == "0." + "0" * 3999 + "1" + "0" * 1000
+
+
+def test_zero_prints_at_any_decimals(monkeypatch, capsys):
+    argv = ["eval", "--eps", "1/100", "--decimals", str(10**6)]
+    code, out = run_cli(monkeypatch, capsys, argv, stdin='{"b0":"0","terms":[]}')
+    assert code == 0
+    assert json.loads(out)["decimal"] == "0." + "0" * 10**6

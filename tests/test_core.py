@@ -300,3 +300,24 @@ def test_threads_sharing_a_sequence_extend_its_states_in_place():
     assert not any(t.is_alive() for t in threads)
     assert wrong == []
     assert [state_at(cf, n) for n in range(201)] == expected
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    b0=st.integers(-3, 3),
+    pairs=st.lists(
+        st.tuples(st.sampled_from([1, -1]), st.sampled_from([Fraction(1, 2), 1, 2, 3])),
+        max_size=8,
+    ),
+)
+@example(b0=0, pairs=[(1, 1), (-1, Fraction(1, 2))])  # gap at 1 and BTooSmall at 2
+def test_checked_stepping_stops_where_validate_reports(b0, pairs):
+    """step(checked=True) and validate apply one Tietze rule in one order."""
+    cf = SemiRegularCF.from_pairs(b0, pairs)
+    report = validate(cf)
+    if report.valid:
+        assert len(list(iter_states(cf, checked=True))) == len(cf) + 1
+    else:
+        v = report.first_violation
+        with pytest.raises(TietzeViolation, match=f"^{v.reason} at index {v.index} "):
+            list(iter_states(cf, checked=True))

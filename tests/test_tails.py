@@ -220,6 +220,19 @@ class TestMemo:
         gc.collect()
         assert ref() is None
 
+    def test_tail_costs_its_depth_not_its_start(self):
+        cf = SemiRegularCF.periodic(1, [(1, 1)], 10**12)
+        assert tail(cf, 10**12 - 10, 5).value == Fraction(5, 8)
+
+    def test_queries_sharing_an_end_share_one_sweep(self):
+        cf = corpus_cf(44)
+        end = len(cf)
+        tail(cf, 0, end)
+        sweep = cf._sweep
+        for n in range(end):
+            assert tail(cf, n, end - n) == tail(corpus_cf(44), n, end - n)
+        assert cf._sweep is sweep
+
     def test_queries_on_a_huge_periodic_sequence_cost_their_index(self):
         lazy = SemiRegularCF.periodic(1, [(1, 1)], 10**12)
         eager = golden(60)
