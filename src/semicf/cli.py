@@ -16,6 +16,7 @@ stdout document), 2 usage error, 3 step budget exhausted.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -29,15 +30,17 @@ from .errors import (
     CFError,
     DenominatorBelowOne,
     IdentityViolation,
-    InsufficientTerms,
     ParseError,
 )
-from .expand import ExpansionAlgo, expand
+from .expand import ExpansionAlgo, _euclid
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 #: Tail-based checks are quadratic in the horizon; `check` caps them here.
 CHECK_TAIL_HORIZON = 30
+
+#: `expand` prints at most this many terms; the loop stops at one more.
+EXPAND_MAX_TERMS = 100_000
 
 #: The checks `check` reports, in order.
 CHECKS = ("lemma1", "determinant", "series_equivalence",
@@ -101,7 +104,7 @@ def serialize_cf(cf: SemiRegularCF) -> str:
 
 
 class _OutputTooLarge(Exception):
-    """A number in the result has more digits than int/str conversion allows."""
+    """Too large to print; the message says why (none: a number has too many digits)."""
 
 
 def _decimal_str(x: Fraction, places: int) -> str:
@@ -142,16 +145,20 @@ def _read_cf(args: argparse.Namespace, horizon: int) -> SemiRegularCF:
     return cf
 
 
-def _require_valid(cf: SemiRegularCF) -> Optional[int]:
-    report = validate(cf)
-    if not report.valid:
-        v = report.first_violation
-        _emit(
-            {
-                "error": "invalid input",
-                "first_violation": {"index": v.index, "reason": v.reason},
-            }
-        )
+def _first_violation(cf: SemiRegularCF) -> Optional[dict]:
+    """The first Tietze violation of cf as a JSON object, or None if cf is valid."""
+    v = validate(cf).first_violation
+    return None if v is None else {"index": v.index, "reason": v.reason}
+
+
+def _require(cf: SemiRegularCF, terms: int) -> Optional[int]:
+    """Emit an error and return 1 if cf is invalid or has fewer than `terms` terms."""
+    violation = _first_violation(cf)
+    if violation is not None:
+        _emit({"error": "invalid input", "first_violation": violation})
+        return 1
+    if terms > len(cf):
+        _emit({"error": "insufficient terms", "available": len(cf)})
         return 1
     return None
 
@@ -162,8 +169,10 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    cf = expand(x, ExpansionAlgo(args.algo))
-    sys.stdout.write(serialize_cf(cf) + "\n")
+    b0, *pairs = itertools.islice(_euclid(x, ExpansionAlgo(args.algo)), EXPAND_MAX_TERMS + 2)
+    if len(pairs) > EXPAND_MAX_TERMS:
+        raise _OutputTooLarge(f"the expansion has over {EXPAND_MAX_TERMS} terms")
+    sys.stdout.write(serialize_cf(SemiRegularCF.from_pairs(b0, pairs)) + "\n")
     return 0
 
 
@@ -176,7 +185,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         sys.stderr.write("error: --max-steps must be >= 1\n")
         return 2
     cf = _read_cf(args, args.max_steps + 1)
-    bad = _require_valid(cf)
+    bad = _require(cf, 0)
     if bad:
         return bad
     try:
@@ -204,12 +213,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_convergents(args: argparse.Namespace) -> int:
     cf = _read_cf(args, args.n)
-    bad = _require_valid(cf)
+    bad = _require(cf, args.n)
     if bad:
         return bad
-    if args.n > len(cf):
-        _emit({"error": "insufficient terms", "available": len(cf)})
-        return 1
     rows: List[dict] = []
     for s in core.iter_states(cf, args.n):
         row = {
@@ -227,14 +233,10 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     cf = _read_cf(args, args.n + 1)
-    bad = _require_valid(cf)
+    bad = _require(cf, args.n + 1)
     if bad:
         return bad
-    try:
-        cert = tails.certify(cf, args.n)
-    except InsufficientTerms:
-        _emit({"error": "insufficient terms", "available": len(cf)})
-        return 1
+    cert = tails.certify(cf, args.n)
     _emit(
         {
             "n": cert.n,
@@ -288,16 +290,9 @@ def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     cf = _read_cf(args, 0)
-    report = validate(cf)
-    if not report.valid:
-        v = report.first_violation
-        _emit(
-            {
-                "valid": False,
-                "first_violation": {"index": v.index, "reason": v.reason},
-                "checks": [],
-            }
-        )
+    violation = _first_violation(cf)
+    if violation is not None:
+        _emit({"valid": False, "first_violation": violation, "checks": []})
         return 1
     checks = [
         {"name": name, "pass": first is None, "first_failure": first}
@@ -366,9 +361,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ParseError as exc:
         _emit({"error": "parse error", "detail": str(exc)})
         return 1
-    except _OutputTooLarge:
+    except _OutputTooLarge as exc:
         limit = sys.get_int_max_str_digits()
-        detail = f"a number in the result has over {limit} digits (PYTHONINTMAXSTRDIGITS)"
+        detail = str(exc) or (
+            f"a number in the result has over {limit} digits (PYTHONINTMAXSTRDIGITS)")
         _emit({"error": "output too large", "detail": detail})
         return 1
     except CFError as exc:

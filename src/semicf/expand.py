@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Dict, Iterator, Tuple, Union
 
 from .core import RationalLike, SemiRegularCF, Term
 
@@ -25,18 +26,50 @@ class ExpansionAlgo(enum.Enum):
     NEAREST_INTEGER = "nearest"
 
 
+#: How each algorithm picks the integer part c of u/v, for v > 0: the floor,
+#: the ceiling, or the nearest integer with ties away from zero.
+_ROUND: Dict[ExpansionAlgo, Callable[[int, int], int]] = {
+    ExpansionAlgo.REGULAR: lambda u, v: u // v,
+    ExpansionAlgo.NEGATIVE: lambda u, v: -(-u // v),
+    ExpansionAlgo.NEAREST_INTEGER: lambda u, v: (
+        (2 * u + v) // (2 * v) if u >= 0 else -((v - 2 * u) // (2 * v))
+    ),
+}
+
+
+def _euclid(x: RationalLike, algo: ExpansionAlgo) -> Iterator[Union[int, Tuple[int, int]]]:
+    """Yield b0 and then each term (a, b) of the expansion of x under algo.
+
+    One integer Euclid loop serves all three algorithms.  The complete
+    quotient u/v (v > 0) is split as c + r with c chosen by the algorithm's
+    rounding rule; while r != 0 the next term has numerator sign(r) and the
+    loop continues with 1/|r|.
+    """
+    if not isinstance(algo, ExpansionAlgo):
+        raise ValueError(f"unknown expansion algorithm {algo!r}")
+    rule = _ROUND[algo]
+    x = Fraction(x)
+    u, v = x.numerator, x.denominator
+    c = rule(u, v)
+    yield c
+    u -= c * v
+    while u:
+        a = 1 if u > 0 else -1
+        u, v = v, abs(u)
+        c = rule(u, v)
+        yield a, c
+        u -= c * v
+
+
+def expand(x: RationalLike, algo: ExpansionAlgo) -> SemiRegularCF:
+    """The finite expansion of x under algo; it validates and folds back to x."""
+    b0, *pairs = _euclid(x, algo)
+    return SemiRegularCF.from_pairs(b0, pairs)
+
+
 def regular_expand(x: RationalLike) -> SemiRegularCF:
     """Euclidean expansion: all numerators +1, integer denominators >= 1."""
-    x = Fraction(x)
-    b0 = math.floor(x)
-    r = x - b0
-    terms = []
-    while r:
-        y = 1 / r
-        b = math.floor(y)
-        terms.append(Term(1, Fraction(b)))
-        r = y - b
-    return SemiRegularCF(Fraction(b0), tuple(terms))
+    return expand(x, ExpansionAlgo.REGULAR)
 
 
 def negative_expand(x: RationalLike) -> SemiRegularCF:
@@ -45,23 +78,7 @@ def negative_expand(x: RationalLike) -> SemiRegularCF:
     Integers expand to no terms (the minimal form) rather than a trailing
     chain of 2s.
     """
-    x = Fraction(x)
-    b0 = math.ceil(x)
-    r = b0 - x  # in [0, 1)
-    terms = []
-    while r:
-        y = 1 / r  # > 1
-        b = math.ceil(y)  # >= 2
-        terms.append(Term(-1, Fraction(b)))
-        r = b - y
-    return SemiRegularCF(Fraction(b0), tuple(terms))
-
-
-def _nearest_away(x: Fraction) -> int:
-    # round to nearest, ties away from zero
-    if x >= 0:
-        return math.floor(x + Fraction(1, 2))
-    return -math.floor(-x + Fraction(1, 2))
+    return expand(x, ExpansionAlgo.NEGATIVE)
 
 
 def nearest_int_expand(x: RationalLike) -> SemiRegularCF:
@@ -70,27 +87,7 @@ def nearest_int_expand(x: RationalLike) -> SemiRegularCF:
     Ties at half-integers round away from zero, so the remainder becomes -1/2
     and the next denominator stays >= 2; outputs are reproducible.
     """
-    x = Fraction(x)
-    b0 = _nearest_away(x)
-    r = x - b0  # in [-1/2, 1/2]
-    terms = []
-    while r:
-        a = 1 if r > 0 else -1
-        y = 1 / abs(r)  # >= 2
-        b = _nearest_away(y)  # >= 2
-        terms.append(Term(a, Fraction(b)))
-        r = y - b
-    return SemiRegularCF(Fraction(b0), tuple(terms))
-
-
-def expand(x: RationalLike, algo: ExpansionAlgo) -> SemiRegularCF:
-    if algo is ExpansionAlgo.REGULAR:
-        return regular_expand(x)
-    if algo is ExpansionAlgo.NEGATIVE:
-        return negative_expand(x)
-    if algo is ExpansionAlgo.NEAREST_INTEGER:
-        return nearest_int_expand(x)
-    raise ValueError(f"unknown expansion algorithm {algo!r}")
+    return expand(x, ExpansionAlgo.NEAREST_INTEGER)
 
 
 @dataclass(frozen=True)

@@ -424,3 +424,21 @@ def test_zero_prints_at_any_decimals(monkeypatch, capsys):
     code, out = run_cli(monkeypatch, capsys, argv, stdin='{"b0":"0","terms":[]}')
     assert code == 0
     assert json.loads(out)["decimal"] == "0." + "0" * 10**6
+
+
+def test_expand_stops_at_the_term_cap(monkeypatch, capsys):
+    # The negative expansion of 1/N has N - 1 terms, all 2.
+    argv = ["expand", "--algo", "negative", f"1/{10**12}"]
+    start = time.perf_counter()
+    code, out = run_cli(monkeypatch, capsys, argv)
+    assert time.perf_counter() - start < 1  # the loop stops one term past the cap
+    _assert_output_too_large(code, out)
+    assert str(cli.EXPAND_MAX_TERMS) in json.loads(out)["detail"]
+
+
+def test_expand_term_cap_boundary(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "EXPAND_MAX_TERMS", 5)
+    code, out = run_cli(monkeypatch, capsys, ["expand", "--algo", "negative", "1/6"])
+    assert code == 0 and len(json.loads(out)["terms"]) == 5
+    code, out = run_cli(monkeypatch, capsys, ["expand", "--algo", "negative", "1/7"])
+    _assert_output_too_large(code, out)

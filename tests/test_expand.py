@@ -1,12 +1,14 @@
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicf import (
     ExpansionAlgo,
     RandomSpec,
+    SemiRegularCF,
     expand,
     fold_eval,
     iter_states,
@@ -95,6 +97,47 @@ def test_round_trip_and_validity(x, algo):
     cf = expand(x, algo)
     assert validate(cf).valid
     assert fold_eval(cf) == x
+
+
+def _rounded(algo, x):
+    """The integer part each algorithm takes of a complete quotient x."""
+    if algo is ExpansionAlgo.REGULAR:
+        return math.floor(x)
+    if algo is ExpansionAlgo.NEGATIVE:
+        return math.ceil(x)
+    half = Fraction(1, 2)  # nearest, ties away from zero
+    return math.floor(x + half) if x >= 0 else -math.floor(half - x)
+
+
+def _numerator(algo, remainder):
+    """The numerator each algorithm writes after a nonzero remainder."""
+    if algo is ExpansionAlgo.REGULAR:
+        return 1
+    if algo is ExpansionAlgo.NEGATIVE:
+        return -1
+    return 1 if remainder > 0 else -1
+
+
+@settings(deadline=None, max_examples=150)
+@given(x=rationals, algo=st.sampled_from(list(ExpansionAlgo)))
+@example(x=Fraction(5, 2), algo=ExpansionAlgo.NEAREST_INTEGER)
+@example(x=Fraction(-5, 2), algo=ExpansionAlgo.NEAREST_INTEGER)
+@example(x=Fraction(-1, 2), algo=ExpansionAlgo.NEAREST_INTEGER)
+@example(x=Fraction(7, 5), algo=ExpansionAlgo.NEAREST_INTEGER)  # the tail 5/2 is a tie
+@example(x=Fraction(-7, 5), algo=ExpansionAlgo.NEAREST_INTEGER)
+@example(x=Fraction(-3, 2), algo=ExpansionAlgo.REGULAR)
+@example(x=Fraction(-3, 2), algo=ExpansionAlgo.NEGATIVE)
+@example(x=Fraction(-355, 113), algo=ExpansionAlgo.REGULAR)
+@example(x=Fraction(-355, 113), algo=ExpansionAlgo.NEGATIVE)
+def test_each_denominator_is_the_rounded_complete_quotient(x, algo):
+    cf = expand(x, algo)
+    assert fold_eval(cf) == x
+    for n in range(len(cf) + 1):
+        b = cf.b0 if n == 0 else cf.terms[n - 1].b
+        quotient = fold_eval(SemiRegularCF(b, cf.terms[n:]))  # x_n = b_n + a_{n+1}/x_{n+1}
+        assert b == _rounded(algo, quotient)
+        if n < len(cf):
+            assert cf.terms[n].a == _numerator(algo, quotient - b)
 
 
 class TestRandomTietze:
