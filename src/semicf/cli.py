@@ -109,11 +109,12 @@ class _OutputTooLarge(Exception):
 
 def _decimal_str(x: Fraction, places: int) -> str:
     limit = sys.get_int_max_str_digits()
-    # |x| >= 1/denominator > 2**-bits, so beyond this x * 10**places has more
-    # than `limit` digits, and the power of ten need not be built to say so.
-    if x and limit and places > limit + x.denominator.bit_length():
+    # |x| >= 1/denominator > 2**-bits unless x is 0, so beyond this x * 10**places
+    # has more than `limit` digits (a zero, as many padded places), and the
+    # power of ten need not be built to say so.
+    if limit and places > limit + x.denominator.bit_length():
         raise _OutputTooLarge
-    scaled = round(x * 10**places) if x else 0
+    scaled = round(x * 10**places)
     sign = "-" if scaled < 0 else ""
     try:
         digits = str(abs(scaled))

@@ -7,8 +7,10 @@ only follow a denominator of at least 2).  Sequences satisfying these
 conditions are called Tietze-valid here; every convergent p_n/q_n of such a
 sequence is well defined and the sequence of convergents converges.
 
-All arithmetic is exact: values are `fractions.Fraction`, always reduced to
-lowest terms with positive denominator, so equality is canonical-form
+All arithmetic is exact.  The recurrence runs on plain ints with no gcd: a
+ConvergentState holds p_{n-1}, p_n, q_{n-1}, q_n times one common scale, the
+product of the denominators of b0, b_1, ..., b_n.  Values cross the API as
+reduced `fractions.Fraction`s, so equality of results is canonical-form
 equality.  All types are immutable; operations return new values.
 """
 
@@ -18,9 +20,10 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
-from .errors import IdentityViolation, InsufficientTerms, TietzeViolation
+from .errors import IdentityViolation, InsufficientTerms
 
 RationalLike = Union[int, str, Fraction]
 
@@ -206,61 +209,58 @@ def _tietze_violation(b: Fraction, a_next: Optional[int]) -> Optional[str]:
     return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConvergentState:
-    """Sliding window of the convergent recurrence.
+    """Sliding window of the convergent recurrence, held as integers.
 
-    Holds (n, p_{n-1}, p_n, q_{n-1}, q_n), the running product of the
-    numerator signs a_1..a_n (+1 at n = 0), and the last partial denominator
-    so that checked stepping can enforce the gap condition.
+    (P_prev, P_cur, Q_prev, Q_cur) are scale * (p_{n-1}, p_n, q_{n-1}, q_n)
+    with scale > 0, and det_product is the running product of the numerator
+    signs a_1..a_n (+1 at n = 0).  The Fraction fields are built when read.
     """
 
     n: int
-    p_prev: Fraction
-    p_cur: Fraction
-    q_prev: Fraction
-    q_cur: Fraction
+    P_prev: int
+    P_cur: int
+    Q_prev: int
+    Q_cur: int
+    scale: int
     det_product: int = 1
-    last_b: Optional[Fraction] = None
+
+    p_prev = property(lambda s: Fraction(s.P_prev, s.scale))
+    p_cur = property(lambda s: Fraction(s.P_cur, s.scale))
+    q_prev = property(lambda s: Fraction(s.Q_prev, s.scale))
+    q_cur = property(lambda s: Fraction(s.Q_cur, s.scale))
 
     @property
     def value(self) -> Fraction:
         """The convergent p_n / q_n."""
-        return self.p_cur / self.q_cur
+        return Fraction(self.P_cur, self.Q_cur)
 
 
 def init_state(b0: RationalLike) -> ConvergentState:
     """The n = 0 window: p_{-1}=1, p_0=b0, q_{-1}=0, q_0=1."""
-    return ConvergentState(0, Fraction(1), Fraction(b0), Fraction(0), Fraction(1))
+    u, v = Fraction(b0).as_integer_ratio()
+    return ConvergentState(0, v, u, 0, v, v)
 
 
-def step(s: ConvergentState, t: Term, *, checked: bool = True) -> ConvergentState:
+def step(s: ConvergentState, t: Term) -> ConvergentState:
     """Advance the window by one term: p_new = b*p_n + a*p_{n-1}, same for q.
 
-    With checked=True (the default) the term must keep the sequence
-    Tietze-valid against the previously appended term; pass checked=False to
-    probe invalid sequences.
+    For b = u/v the new window is (v*P_cur, u*P_cur + a*v*P_prev) over
+    scale*v, the same for Q.  The term is not checked; evaluate checks terms.
     """
-    if checked:
-        # Term n against a_{n+1}, then term n+1 alone: validate's order.
-        for n, b, a_next in ((s.n, s.last_b, t.a), (s.n + 1, t.b, None)):
-            reason = b is not None and _tietze_violation(b, a_next)
-            if reason:
-                raise TietzeViolation(f"{reason} at index {n} (b_{n} = {b})")
-    return ConvergentState(
-        s.n + 1,
-        s.p_cur,
-        t.b * s.p_cur + t.a * s.p_prev,
-        s.q_cur,
-        t.b * s.q_cur + t.a * s.q_prev,
-        s.det_product * t.a,
-        t.b,
-    )
+    u, v = t.b.numerator, t.b.denominator
+    if v == 1:  # the new window shares P_cur and Q_cur with s instead of copying them
+        return ConvergentState(s.n + 1, s.P_cur, u * s.P_cur + t.a * s.P_prev,
+                               s.Q_cur, u * s.Q_cur + t.a * s.Q_prev,
+                               s.scale, s.det_product * t.a)
+    av = t.a * v
+    return ConvergentState(s.n + 1, v * s.P_cur, u * s.P_cur + av * s.P_prev,
+                           v * s.Q_cur, u * s.Q_cur + av * s.Q_prev,
+                           s.scale * v, s.det_product * t.a)
 
 
-def iter_states(
-    cf: SemiRegularCF, upto: Optional[int] = None, *, checked: bool = False
-) -> Iterator[ConvergentState]:
+def iter_states(cf: SemiRegularCF, upto: Optional[int] = None) -> Iterator[ConvergentState]:
     """Yield the states for n = 0 .. upto (default: the whole sequence)."""
     if upto is None:
         upto = len(cf)
@@ -269,18 +269,17 @@ def iter_states(
     s = init_state(cf.b0)
     yield s
     for n in range(1, upto + 1):
-        s = step(s, cf.term(n), checked=checked)
+        s = step(s, cf.term(n))
         yield s
 
 
 def _states_through(cf: SemiRegularCF, n: int) -> List[ConvergentState]:
     """cf's memoized states, extended on demand through index n <= len(cf)."""
     states = cf._states
-    while len(states) <= n:
-        s = states[-1]
-        # Write slot s.n + 1 rather than append: a thread racing on the same
-        # sequence then stores an equal state there instead of misplacing one.
-        states[s.n + 1:s.n + 2] = [step(s, cf.term(s.n + 1), checked=False)]
+    # Test the state read, since another thread may append at any time, and
+    # write slot s.n + 1 so that a racing thread stores an equal state there.
+    while (s := states[-1]).n < n:
+        states[s.n + 1:s.n + 2] = [step(s, cf.term(s.n + 1))]
     return states
 
 
@@ -306,10 +305,11 @@ def determinant_check(s: ConvergentState) -> int:
     if s.n < 1:
         raise ValueError("determinant identity needs n >= 1")
     expected = s.det_product if s.n % 2 == 1 else -s.det_product
-    actual = s.p_cur * s.q_prev - s.p_prev * s.q_cur
-    if actual != expected:
+    actual = s.P_cur * s.Q_prev - s.P_prev * s.Q_cur  # scale**2 times the identity
+    if actual != expected * s.scale * s.scale:
         raise IdentityViolation(
-            f"p_n q_(n-1) - p_(n-1) q_n = {actual}, expected {expected} at n={s.n}"
+            f"p_n q_(n-1) - p_(n-1) q_n = {Fraction(actual, s.scale * s.scale)}, "
+            f"expected {expected} at n={s.n}"
         )
     return expected
 
@@ -318,25 +318,34 @@ def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
     """b0 plus the telescoped series of convergent differences through n.
 
     Each term is (-1)^{k-1} a_1...a_k / (q_{k-1} q_k); the partial sum equals
-    convergent(cf, n) exactly.
+    convergent(cf, n) exactly.  The sum runs over integer pairs, added as
+    Knuth (TAOCP 4.5.1) adds fractions: two gcds with the denominators' gcd.
     """
     if n > len(cf):
         raise InsufficientTerms(f"requested {n} of {len(cf)} terms")
     states = _states_through(cf, n)
-    total = cf.b0
+    num, den = cf.b0.numerator, cf.b0.denominator
     for k in range(1, n + 1):
-        total += series_term(states[k])
-    return total
+        t_num, t_den = _series_pair(states[k])
+        g = gcd(den, t_den)
+        num = num * (t_den // g) + t_num * (den // g)
+        g2 = gcd(num, g)
+        num, den = num // g2, den // g * (t_den // g2)
+    return Fraction(num, den)
+
+
+def _series_pair(s: ConvergentState) -> Tuple[int, int]:
+    sign = s.det_product if s.n % 2 == 1 else -s.det_product
+    return sign * s.scale * s.scale, s.Q_prev * s.Q_cur
 
 
 def series_term(s: ConvergentState) -> Fraction:
     """The n-th series term (-1)^{n-1} a_1...a_n / (q_{n-1} q_n), for n >= 1."""
-    num = s.det_product if s.n % 2 == 1 else -s.det_product
-    return Fraction(num) / (s.q_prev * s.q_cur)
+    return Fraction(*_series_pair(s))
 
 
 def gap(s: ConvergentState, a_next: int) -> Fraction:
     """q_n + a_{n+1} q_{n-1}; at least 1 for every valid sequence."""
     if a_next not in (1, -1):
         raise ValueError(f"numerator sign must be +1 or -1, got {a_next!r}")
-    return s.q_cur + a_next * s.q_prev
+    return Fraction(s.Q_cur + a_next * s.Q_prev, s.scale)

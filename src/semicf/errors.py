@@ -8,7 +8,7 @@ class CFError(Exception):
 
 
 class TietzeViolation(CFError):
-    """Appending a term would break the b >= 1 or b + a_next >= 1 conditions."""
+    """evaluate() reached a term that breaks b >= 1 or b + a_next >= 1."""
 
 
 class InsufficientTerms(CFError):

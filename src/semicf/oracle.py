@@ -17,17 +17,22 @@ from .errors import InsufficientTerms, ZeroDenominator
 def fold_eval(cf: SemiRegularCF, n: Optional[int] = None) -> Fraction:
     """Evaluate b0 + a1/(b1 + a2/(b2 + ... + an/bn)) by one backward pass.
 
-    A zero intermediate denominator is possible only for invalid sequences
-    and is reported as ZeroDenominator rather than asserted away.
+    The inner value is held as an unreduced integer pair r/s: for b_i = u/v,
+    a_i/(b_i + r/s) = a_i v s / (u s + v r).  A zero intermediate denominator
+    is possible only for invalid sequences and is reported as ZeroDenominator
+    rather than asserted away.
     """
     if n is None:
         n = len(cf)
     if n > len(cf):
         raise InsufficientTerms(f"requested {n} of {len(cf)} terms")
-    acc = Fraction(0)
+    r, s = 0, 1
     for i in range(n, 0, -1):
-        den = cf.b(i) + acc
+        t = cf.term(i)
+        u, v = t.b.numerator, t.b.denominator
+        den = u * s + v * r
         if den == 0:
             raise ZeroDenominator(i)
-        acc = cf.a(i) / den
-    return cf.b0 + acc
+        r, s = t.a * v * s, den
+    b0 = cf.b0
+    return Fraction(b0.numerator * s + b0.denominator * r, b0.denominator * s)

@@ -21,21 +21,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .core import (
     ConvergentState,
     RationalLike,
     SemiRegularCF,
-    convergent,
+    _tietze_violation,
+    init_state,
     iter_states,
     state_at,
+    step,
 )
 from .errors import (
     BudgetExhausted,
     DenominatorBelowOne,
     IdentityViolation,
     InsufficientTerms,
+    TietzeViolation,
 )
 
 #: Default step budget for evaluate(): enough for a slowest-case bound
@@ -116,15 +119,14 @@ def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
 
     Asserts exact equality with convergent(cf, n+k).
     """
-    x = tail(cf, n, k).value
-    s = state_at(cf, n)
-    value = (s.p_cur + x * s.p_prev) / (s.q_cur + x * s.q_prev)
-    deep = convergent(cf, n + k)
-    if value != deep:
+    r, t = tail(cf, n, k).value.as_integer_ratio()
+    s, deep = state_at(cf, n), state_at(cf, n + k)
+    num, den = t * s.P_cur + r * s.P_prev, t * s.Q_cur + r * s.Q_prev
+    if num * deep.Q_cur != den * deep.P_cur:
         raise IdentityViolation(
-            f"shift value {value} != convergent {deep} at n={n}, k={k}"
+            f"shift value {Fraction(num, den)} != convergent {deep.value} at n={n}, k={k}"
         )
-    return value
+    return Fraction(num, den)
 
 
 def error_bound(cf: SemiRegularCF, n: int, k: int) -> Fraction:
@@ -132,25 +134,27 @@ def error_bound(cf: SemiRegularCF, n: int, k: int) -> Fraction:
 
     Asserts |p_{n+k}/q_{n+k} - p_n/q_n| <= bound.
     """
-    x = tail(cf, n, k).value
-    s = state_at(cf, n)
-    den = s.q_cur + x * s.q_prev
-    bound = 1 / (s.q_cur * abs(den))
-    actual = abs(convergent(cf, n + k) - s.value)
-    if actual > bound:
+    r, t = tail(cf, n, k).value.as_integer_ratio()
+    s, deep = state_at(cf, n), state_at(cf, n + k)
+    bound = Fraction(t * s.scale * s.scale, s.Q_cur * abs(t * s.Q_cur + r * s.Q_prev))
+    # |p_{n+k}/q_{n+k} - p_n/q_n| = gap / gap_den
+    gap = abs(deep.P_cur * s.Q_cur - s.P_cur * deep.Q_cur)
+    gap_den = abs(deep.Q_cur * s.Q_cur)
+    if gap * bound.denominator > bound.numerator * gap_den:
         raise IdentityViolation(
-            f"convergent gap {actual} exceeds bound {bound} at n={n}, k={k}"
+            f"convergent gap {Fraction(gap, gap_den)} exceeds bound {bound} at n={n}, k={k}"
         )
     return bound
 
 
-def _uniform_bound(s: ConvergentState, a_next: int) -> Fraction:
-    d = s.q_cur if a_next == 1 else s.q_cur - s.q_prev
-    if d < 1:
+def _uniform_bound(s: ConvergentState, a_next: int) -> Tuple[int, int]:
+    """The uniform bound at s as an integer pair (numerator, positive denominator)."""
+    d = s.Q_cur if a_next == 1 else s.Q_cur - s.Q_prev  # scale * D_n
+    if d < s.scale:
         raise IdentityViolation(
-            f"uniform-bound denominator {d} < 1 at n={s.n} (invalid sequence?)"
+            f"uniform-bound denominator {Fraction(d, s.scale)} < 1 at n={s.n} (invalid sequence?)"
         )
-    return 1 / (s.q_cur * d)
+    return s.scale * s.scale, s.Q_cur * d
 
 
 def uniform_step_bound(cf: SemiRegularCF, n: int) -> Fraction:
@@ -159,8 +163,7 @@ def uniform_step_bound(cf: SemiRegularCF, n: int) -> Fraction:
     Equals 1/(q_n * D_n) with D_n = q_n when a_{n+1} = +1 and
     D_n = q_n - q_{n-1} otherwise; see the module docstring for why D_n >= 1.
     """
-    a_next = cf.a(n + 1)
-    return _uniform_bound(state_at(cf, n), a_next)
+    return Fraction(*_uniform_bound(state_at(cf, n), cf.a(n + 1)))
 
 
 def anchor_index(cf: SemiRegularCF, n: int) -> Optional[int]:
@@ -178,23 +181,26 @@ def certify(cf: SemiRegularCF, n: int) -> ErrorCertificate:
 
     With an anchor m < n whose next numerator is +1, the triangle inequality
     through p_m/q_m gives |p_n/q_n - p_m/q_m| + 1/q_m^2 (the second leg uses
-    that all tails past the anchor are positive).  The coarser 2/q_m^2 bound
-    is asserted whenever the first leg is itself at most 1/q_m^2.  Without an
-    anchor the uniform one-step bound applies directly.
+    that all tails past the anchor are positive), at most 2/q_m^2 when the
+    first leg is itself at most 1/q_m^2.  Without an anchor the uniform
+    one-step bound applies directly.
     """
     if n + 1 > len(cf):
         raise InsufficientTerms(f"certify at n={n} needs {n + 1} terms")
     m = anchor_index(cf, n)
-    if m is None:
-        return ErrorCertificate(n, None, uniform_step_bound(cf, n), ALL_MINUS_TAIL)
-    s_m = state_at(cf, m)
-    leg = abs(convergent(cf, n) - s_m.value)
-    second = 1 / (s_m.q_cur * s_m.q_cur)
-    bound = leg + second
-    if leg <= second and bound > 2 * second:
-        raise IdentityViolation(
-            f"certificate {bound} exceeds 2/q_m^2 = {2 * second} at n={n}, m={m}"
-        )
+    # One walk to n that keeps only the states at m and n, not the memo's 0..n.
+    s_m = None
+    for s_n in iter_states(cf, n):
+        if s_n.n == m:
+            s_m = s_n
+    if s_m is None:
+        return ErrorCertificate(
+            n, None, Fraction(*_uniform_bound(s_n, cf.a(n + 1))), ALL_MINUS_TAIL)
+    # Both legs over the common denominator |Q_n| Q_m^2: |p_n/q_n - p_m/q_m|
+    # is |P_n Q_m - P_m Q_n| |Q_m| of it, and 1/q_m^2 is scale_m^2 |Q_n|.
+    leg = abs(s_n.P_cur * s_m.Q_cur - s_m.P_cur * s_n.Q_cur) * abs(s_m.Q_cur)
+    second = s_m.scale * s_m.scale * abs(s_n.Q_cur)
+    bound = Fraction(leg + second, abs(s_n.Q_cur) * s_m.Q_cur * s_m.Q_cur)
     return ErrorCertificate(n, m, bound, PLUS_ANCHOR)
 
 
@@ -216,13 +222,22 @@ def evaluate(
         raise ValueError("eps must be > 0")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    best: Optional[Fraction] = None
-    for s in iter_states(cf, min(len(cf), max_steps), checked=True):
-        if s.n == len(cf):
-            return EvalResult(s.value, Fraction(0), s.n, True)
-        bound = _uniform_bound(s, cf.a(s.n + 1))
-        if bound <= eps:
-            return EvalResult(s.value, bound, s.n, False)
-        if best is None or bound < best:
-            best = bound
-    raise BudgetExhausted(max_steps, best)
+    best: Optional[Tuple[int, int]] = None
+    s = init_state(cf.b0)
+    while True:
+        n = s.n
+        a_next = cf.a(n + 1) if n < len(cf) else None
+        # validate's rule and order: b_n >= 1, then the gap with a_{n+1}.
+        reason = n and _tietze_violation(cf.b(n), a_next)
+        if reason:
+            raise TietzeViolation(f"{reason} at index {n} (b_{n} = {cf.b(n)})")
+        if a_next is None:
+            return EvalResult(s.value, Fraction(0), n, True)
+        num, den = _uniform_bound(s, a_next)
+        if num * eps.denominator <= eps.numerator * den:
+            return EvalResult(s.value, Fraction(num, den), n, False)
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den)
+        if n == max_steps:
+            raise BudgetExhausted(max_steps, Fraction(*best))
+        s = step(s, cf.term(n + 1))

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -309,6 +310,42 @@ def test_check_starts_one_tail_sweep_per_end(monkeypatch, capsys):
     assert len(sweeps) == CHECK_TAIL_HORIZON == 30
 
 
+RATIONAL_A = ('{"b0":"7/3","terms":[{"a":1,"b":"5/2"},{"a":-1,"b":"3"},{"a":1,"b":"7/3"},'
+              '{"a":-1,"b":"7/2"},{"a":1,"b":"1"},{"a":1,"b":"9/4"}]}')
+RATIONAL_B = '{"b0":"-1/2","terms":[{"a":-1,"b":"5/2"},{"a":1,"b":"7/3"}]}'
+EPS = "1/100000000000000000000"
+
+# Exit code and sha256 of stdout, recorded with the earlier recurrence over
+# reduced Fractions; the integer-window kernel must print the same bytes.
+GOLDEN = [
+    (["convergents", "-n", "6", "--decimals", "12"], RATIONAL_A, 0,
+     "8d69a504a49f5c5450795b0afe82884cc55be50db5fd65fd658b01d14a6117b7"),
+    (["convergents", "-n", "8", "--repeat", "--decimals", "12"], RATIONAL_B, 0,
+     "fa4128fb547447ff5beb20c925b6ce3d8f18f3985a1cf2fe6fe7c2c5383f26d4"),
+    (["certify", "-n", "5"], RATIONAL_A, 0,
+     "45e542f548fff774353b775f219278e66992ef648cfec71813189b39465c6171"),
+    (["certify", "-n", "40", "--repeat"], RATIONAL_B, 0,
+     "66cf252ed54f88ec758b0f624e35ae8eb9e2ff05267b0652325fc95ff796ffa9"),
+    (["check"], RATIONAL_A, 0,
+     "f9ac3ab3ff2cc40f630e43cbcce42b0e04c7ee9fa3f159eb1c1c3539d5e774f0"),
+    (["check"], RATIONAL_B, 0,
+     "f9ac3ab3ff2cc40f630e43cbcce42b0e04c7ee9fa3f159eb1c1c3539d5e774f0"),
+    (["eval", "--eps", EPS, "--repeat"], RATIONAL_A, 0,
+     "0da796308b314c9f521f3b3c609632039e472aab65d5147399af70e3cc69a7e4"),
+    (["eval", "--eps", EPS, "--repeat"], RATIONAL_B, 0,
+     "b761192b978e8775d8e3fc8dcecd368aaea92924766512b4e88ddb137854eb4d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, code, digest", GOLDEN,
+    ids=[f"{g[0][0]}-{'AB'[g[1] == RATIONAL_B]}" for g in GOLDEN],
+)
+def test_golden_output_on_rational_documents(monkeypatch, capsys, argv, stdin, code, digest):
+    got, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
 def test_usage_error_exit_2(monkeypatch, capsys):
     code, _ = run_cli(monkeypatch, capsys, ["nope"])
     assert code == 2
@@ -419,11 +456,24 @@ def test_decimals_beyond_the_digit_limit_that_fit(monkeypatch, capsys):
     assert json.loads(out)["decimal"] == "0." + "0" * 3999 + "1" + "0" * 1000
 
 
-def test_zero_prints_at_any_decimals(monkeypatch, capsys):
-    argv = ["eval", "--eps", "1/100", "--decimals", str(10**6)]
+def test_zero_prints_up_to_the_decimals_cap(monkeypatch, capsys):
+    # Zero is capped like any value: at the limit plus its denominator's one bit.
+    places = sys.get_int_max_str_digits() + 1
+    argv = ["eval", "--eps", "1/100", "--decimals", str(places)]
     code, out = run_cli(monkeypatch, capsys, argv, stdin='{"b0":"0","terms":[]}')
     assert code == 0
-    assert json.loads(out)["decimal"] == "0." + "0" * 10**6
+    assert json.loads(out)["decimal"] == "0." + "0" * places
+    argv[-1] = str(places + 1)
+    code, out = run_cli(monkeypatch, capsys, argv, stdin='{"b0":"0","terms":[]}')
+    _assert_output_too_large(code, out)
+
+
+def test_zero_over_the_decimals_cap_answers_at_once(monkeypatch, capsys):
+    argv = ["eval", "--eps", "1/10", "--decimals", str(10**9)]
+    start = time.perf_counter()
+    code, out = run_cli(monkeypatch, capsys, argv, stdin='{"b0":"0","terms":[]}')
+    assert time.perf_counter() - start < 1  # no billion-character string is built
+    _assert_output_too_large(code, out)
 
 
 def test_expand_stops_at_the_term_cap(monkeypatch, capsys):

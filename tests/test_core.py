@@ -16,6 +16,7 @@ from semicf import (
     TietzeViolation,
     convergent,
     determinant_check,
+    evaluate,
     fold_eval,
     gap,
     init_state,
@@ -29,6 +30,9 @@ from semicf import (
 from semicf.errors import InsufficientTerms
 
 from conftest import all_minus_two, golden
+
+# Below every uniform bound of the short sequences here, so evaluate steps to the end.
+TINY = Fraction(1, 10**100)
 
 
 class TestTerm:
@@ -162,15 +166,16 @@ class TestRecurrence:
             assert s.q_cur == b
 
     def test_checked_step_raises(self):
-        s = step(init_state(0), Term(1, Fraction(1)))
+        # evaluate checks each term as it steps; the gap b_1 + a_2 = 0 stops it
         with pytest.raises(TietzeViolation):
-            step(s, Term(-1, Fraction(2)))
-        # unchecked mode lets experiments through
-        assert step(s, Term(-1, Fraction(2)), checked=False).n == 2
+            evaluate(SemiRegularCF.from_pairs(0, [(1, 1), (-1, 2)]), TINY)
+        # step itself does not check, so experiments get through
+        s = step(init_state(0), Term(1, Fraction(1)))
+        assert step(s, Term(-1, Fraction(2))).n == 2
 
     def test_checked_step_rejects_small_b(self):
         with pytest.raises(TietzeViolation):
-            step(init_state(0), Term(1, Fraction(1, 2)))
+            evaluate(SemiRegularCF.from_pairs(0, [(1, Fraction(1, 2))]), TINY)
 
     def test_convergent_examples(self):
         assert convergent(golden(5), 2) == Fraction(3, 2)
@@ -264,7 +269,7 @@ def test_random_sequences_satisfy_exact_identities(
         )
     )
     assert validate(cf).valid
-    for s in iter_states(cf, checked=True):
+    for s in iter_states(cf):
         assert s.q_cur >= 1
         if s.n >= 1:
             determinant_check(s)
@@ -279,13 +284,17 @@ def test_threads_sharing_a_sequence_extend_its_states_in_place():
     fresh = SemiRegularCF(cf.b0, cf.terms)
     expected = [state_at(fresh, n) for n in range(201)]
     wrong = []
+    errors = []
 
     def query(seed):
         rng = random.Random(seed)
-        for _ in range(100):
-            n = rng.randint(0, 200)
-            if state_at(cf, n) != expected[n]:
-                wrong.append(n)
+        try:
+            for _ in range(100):
+                n = rng.randint(0, 200)
+                if state_at(cf, n) != expected[n]:
+                    wrong.append(n)
+        except BaseException as exc:  # an exception would otherwise end the thread unseen
+            errors.append(exc)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -298,6 +307,7 @@ def test_threads_sharing_a_sequence_extend_its_states_in_place():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
+    assert errors == []
     assert wrong == []
     assert [state_at(cf, n) for n in range(201)] == expected
 
@@ -312,12 +322,13 @@ def test_threads_sharing_a_sequence_extend_its_states_in_place():
 )
 @example(b0=0, pairs=[(1, 1), (-1, Fraction(1, 2))])  # gap at 1 and BTooSmall at 2
 def test_checked_stepping_stops_where_validate_reports(b0, pairs):
-    """step(checked=True) and validate apply one Tietze rule in one order."""
+    """evaluate's checked stepping and validate apply one Tietze rule in one order."""
     cf = SemiRegularCF.from_pairs(b0, pairs)
     report = validate(cf)
     if report.valid:
-        assert len(list(iter_states(cf, checked=True))) == len(cf) + 1
+        result = evaluate(cf, TINY, max_steps=len(cf) + 1)
+        assert result.exact and result.steps_used == len(cf)
     else:
         v = report.first_violation
         with pytest.raises(TietzeViolation, match=f"^{v.reason} at index {v.index} "):
-            list(iter_states(cf, checked=True))
+            evaluate(cf, TINY, max_steps=len(cf) + 1)

@@ -190,6 +190,15 @@ class TestEvaluate:
         assert exc.value.max_steps == 40
         assert exc.value.best_bound == Fraction(1, 41)
 
+    def test_first_certifying_step_of_a_non_monotone_bound(self):
+        # q_n runs 1, 2, 1, 3, so the uniform bounds run 1, 1/2, 1, 1/9.
+        cf = SemiRegularCF.from_pairs(0, [(1, 2), (-1, 1), (1, 1), (1, 1)])
+        bounds = [uniform_step_bound(cf, n) for n in range(4)]
+        assert bounds == [1, Fraction(1, 2), 1, Fraction(1, 9)]
+        for eps, steps in [(1, 0), (Fraction(1, 2), 1), (Fraction(1, 3), 3), (Fraction(1, 9), 3)]:
+            result = evaluate(cf, eps)
+            assert (result.steps_used, result.certified_error) == (steps, bounds[steps])
+
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             evaluate(golden(5), Fraction(0))
