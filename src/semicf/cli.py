@@ -39,6 +39,9 @@ _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 #: Tail-based checks are quadratic in the horizon; `check` caps them here.
 CHECK_TAIL_HORIZON = 30
 
+#: The fold cross-check refolds every prefix, so `check` refuses longer documents.
+CHECK_MAX_TERMS = 2000
+
 #: `expand` prints at most this many terms; the loop stops at one more.
 EXPAND_MAX_TERMS = 100_000
 
@@ -294,6 +297,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     violation = _first_violation(cf)
     if violation is not None:
         _emit({"valid": False, "first_violation": violation, "checks": []})
+        return 1
+    if len(cf) > CHECK_MAX_TERMS:
+        _emit({"error": "input too large",
+               "detail": f"check takes at most {CHECK_MAX_TERMS} terms, got {len(cf)}"})
         return 1
     checks = [
         {"name": name, "pass": first is None, "first_failure": first}

@@ -109,7 +109,8 @@ class SemiRegularCF:
     b0: Fraction
     terms: Sequence = ()
     # A memo freed with the sequence: _states[k] is the recurrence window after
-    # terms 1..k, and _sweep the latest tail sweep (end, xs), kept by tails.
+    # terms 1..k, and _sweep the latest tail sweep (end, xs), kept by tails,
+    # with xs[j] the tail x_{end-j-1, j+1} as an unreduced integer pair.
     _states: List[ConvergentState] = field(init=False, compare=False, repr=False)
     _sweep: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
@@ -202,9 +203,10 @@ def validate(cf: SemiRegularCF, upto: Optional[int] = None) -> ValidationReport:
 def _tietze_violation(b: Fraction, a_next: Optional[int]) -> Optional[str]:
     """The condition a term with denominator b breaks, if any: b >= 1, then the
     gap b + a_next >= 1 (a_next is None for the last term, which is exempt)."""
-    if b < 1:
+    u, v = b.numerator, b.denominator  # v > 0, so b >= 1 is u >= v
+    if u < v:
         return B_TOO_SMALL
-    if a_next is not None and b + a_next < 1:
+    if a_next is not None and u + a_next * v < v:
         return GAP_VIOLATION
     return None
 
@@ -321,12 +323,12 @@ def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
     convergent(cf, n) exactly.  The sum runs over integer pairs, added as
     Knuth (TAOCP 4.5.1) adds fractions: two gcds with the denominators' gcd.
     """
-    if n > len(cf):
+    if not 0 <= n <= len(cf):
         raise InsufficientTerms(f"requested {n} of {len(cf)} terms")
-    states = _states_through(cf, n)
     num, den = cf.b0.numerator, cf.b0.denominator
-    for k in range(1, n + 1):
-        t_num, t_den = _series_pair(states[k])
+    for s in _states_through(cf, n)[1:n + 1]:
+        sign = s.det_product if s.n % 2 == 1 else -s.det_product
+        t_num, t_den = sign * s.scale * s.scale, s.Q_prev * s.Q_cur
         g = gcd(den, t_den)
         num = num * (t_den // g) + t_num * (den // g)
         g2 = gcd(num, g)
@@ -334,14 +336,10 @@ def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
     return Fraction(num, den)
 
 
-def _series_pair(s: ConvergentState) -> Tuple[int, int]:
-    sign = s.det_product if s.n % 2 == 1 else -s.det_product
-    return sign * s.scale * s.scale, s.Q_prev * s.Q_cur
-
-
 def series_term(s: ConvergentState) -> Fraction:
     """The n-th series term (-1)^{n-1} a_1...a_n / (q_{n-1} q_n), for n >= 1."""
-    return Fraction(*_series_pair(s))
+    sign = s.det_product if s.n % 2 == 1 else -s.det_product
+    return Fraction(sign * s.scale * s.scale, s.Q_prev * s.Q_cur)
 
 
 def gap(s: ConvergentState, a_next: int) -> Fraction:

@@ -27,8 +27,7 @@ def fold_eval(cf: SemiRegularCF, n: Optional[int] = None) -> Fraction:
     if n > len(cf):
         raise InsufficientTerms(f"requested {n} of {len(cf)} terms")
     r, s = 0, 1
-    for i in range(n, 0, -1):
-        t = cf.term(i)
+    for i, t in zip(range(n, 0, -1), reversed(cf.terms[:n])):
         u, v = t.b.numerator, t.b.denominator
         den = u * s + v * r
         if den == 0:

@@ -27,6 +27,7 @@ from .core import (
     ConvergentState,
     RationalLike,
     SemiRegularCF,
+    _states_through,
     _tietze_violation,
     init_state,
     iter_states,
@@ -76,8 +77,9 @@ class EvalResult:
     exact: bool
 
 
-def _tail_sweep(cf: SemiRegularCF, end: int, k: int) -> List[Fraction]:
-    """The tails that end at term `end`, through depth k: entry j is x_{end-j-1, j+1}.
+def _tail_sweep(cf: SemiRegularCF, end: int, k: int) -> List[Tuple[int, int]]:
+    """The tails that end at term `end`, through depth k: entry j is x_{end-j-1, j+1}
+    as an unreduced integer pair (r, s) with s > 0.
 
     cf keeps the sweep of its latest `end`, extended back on demand, so the
     queries of one end share one sweep of the largest depth they ask for.
@@ -87,15 +89,29 @@ def _tail_sweep(cf: SemiRegularCF, end: int, k: int) -> List[Fraction]:
         memo = (end, [])
         object.__setattr__(cf, "_sweep", memo)
     xs = memo[1]
-    while len(xs) < k:
-        j = len(xs)
+    # Test the length read, since another thread may extend xs at any time.
+    while (j := len(xs)) < k:
         m = end - j  # x_{m-1, j+1} = a_m / (b_m + x_{m, j}), with x_{m, 0} = 0
-        den = cf.b(m) + (xs[j - 1] if j else 0)
-        if den < 1:
-            raise DenominatorBelowOne(f"b_{m} + x_{m},{j} = {den} < 1")
+        r, s = xs[j - 1] if j else (0, 1)
+        t = cf.term(m)
+        u, v = t.b.numerator, t.b.denominator
+        den = u * s + v * r  # v s (b_m + x_{m, j})
+        if den < v * s:
+            raise DenominatorBelowOne(f"b_{m} + x_{m},{j} = {Fraction(den, v * s)} < 1")
         # Write slot j rather than append, as core._states_through does.
-        xs[j:j + 1] = [cf.a(m) / den]
+        xs[j:j + 1] = [(t.a * v * s, den)]
     return xs
+
+
+def _tail_pair(cf: SemiRegularCF, n: int, k: int) -> Tuple[int, int]:
+    """x_{n,k} as an unreduced integer pair (r, s) with s > 0."""
+    if k < 1:
+        raise ValueError("tail depth k must be >= 1")
+    if n < 0:
+        raise ValueError("tail start index n must be >= 0")
+    if n + k > len(cf):
+        raise InsufficientTerms(f"requested {n + k} of {len(cf)} terms")
+    return _tail_sweep(cf, n + k, k)[k - 1]
 
 
 def tail(cf: SemiRegularCF, n: int, k: int) -> TailValue:
@@ -105,13 +121,7 @@ def tail(cf: SemiRegularCF, n: int, k: int) -> TailValue:
     DenominatorBelowOne is impossible for valid sequences.  Costs O(k), not
     O(n + k).
     """
-    if k < 1:
-        raise ValueError("tail depth k must be >= 1")
-    if n < 0:
-        raise ValueError("tail start index n must be >= 0")
-    if n + k > len(cf):
-        raise InsufficientTerms(f"requested {n + k} of {len(cf)} terms")
-    return TailValue(n, k, _tail_sweep(cf, n + k, k)[k - 1])
+    return TailValue(n, k, Fraction(*_tail_pair(cf, n, k)))
 
 
 def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
@@ -119,8 +129,9 @@ def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
 
     Asserts exact equality with convergent(cf, n+k).
     """
-    r, t = tail(cf, n, k).value.as_integer_ratio()
-    s, deep = state_at(cf, n), state_at(cf, n + k)
+    r, t = _tail_pair(cf, n, k)
+    states = _states_through(cf, n + k)
+    s, deep = states[n], states[n + k]
     num, den = t * s.P_cur + r * s.P_prev, t * s.Q_cur + r * s.Q_prev
     if num * deep.Q_cur != den * deep.P_cur:
         raise IdentityViolation(
@@ -134,8 +145,9 @@ def error_bound(cf: SemiRegularCF, n: int, k: int) -> Fraction:
 
     Asserts |p_{n+k}/q_{n+k} - p_n/q_n| <= bound.
     """
-    r, t = tail(cf, n, k).value.as_integer_ratio()
-    s, deep = state_at(cf, n), state_at(cf, n + k)
+    r, t = _tail_pair(cf, n, k)
+    states = _states_through(cf, n + k)
+    s, deep = states[n], states[n + k]
     bound = Fraction(t * s.scale * s.scale, s.Q_cur * abs(t * s.Q_cur + r * s.Q_prev))
     # |p_{n+k}/q_{n+k} - p_n/q_n| = gap / gap_den
     gap = abs(deep.P_cur * s.Q_cur - s.P_cur * deep.Q_cur)

@@ -492,3 +492,28 @@ def test_expand_term_cap_boundary(monkeypatch, capsys):
     assert code == 0 and len(json.loads(out)["terms"]) == 5
     code, out = run_cli(monkeypatch, capsys, ["expand", "--algo", "negative", "1/7"])
     _assert_output_too_large(code, out)
+
+
+def test_check_refuses_a_document_over_the_term_budget(monkeypatch, capsys):
+    stdin = serialize_cf(golden(2001))
+    start = time.perf_counter()
+    code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
+    assert time.perf_counter() - start < 1  # refused before any check runs
+    doc = json.loads(out)
+    assert code == 1 and doc["error"] == "input too large"
+    assert "2000" in doc["detail"]
+
+
+def test_check_runs_a_document_at_the_term_budget(monkeypatch, capsys):
+    stdin = serialize_cf(golden(2000))
+    code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
+    doc = json.loads(out)
+    assert code == 0 and doc["valid"] is True
+    assert [c["pass"] for c in doc["checks"]] == [True] * len(cli.CHECKS)
+
+
+def test_check_reports_an_invalid_document_over_the_term_budget(monkeypatch, capsys):
+    stdin = serialize_cf(SemiRegularCF.from_pairs(0, [(1, Fraction(1, 2))] * 2001))
+    code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
+    assert code == 1
+    assert json.loads(out)["first_violation"] == {"index": 1, "reason": "BTooSmall"}

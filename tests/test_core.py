@@ -70,6 +70,21 @@ class TestValidate:
         assert report.first_violation.index == 1
         assert report.first_violation.reason == B_TOO_SMALL
 
+    @pytest.mark.parametrize("b, a_next, reason", [
+        (Fraction(4, 5), 1, B_TOO_SMALL),
+        (Fraction(3, 2), 1, None),
+        (Fraction(3, 2), -1, GAP_VIOLATION),
+        (Fraction(19, 10), -1, GAP_VIOLATION),
+        (Fraction(2), -1, None),
+        (Fraction(5, 2), -1, None),
+    ])
+    def test_rule_on_rational_b(self, b, a_next, reason):
+        first = validate(SemiRegularCF.from_pairs(0, [(1, b), (a_next, 2)])).first_violation
+        if reason is None:
+            assert first is None
+        else:
+            assert (first.index, first.reason) == (1, reason)
+
     def test_final_term_exempt_from_gap(self):
         # a successor would be needed for the gap condition to apply
         cf = SemiRegularCF.from_pairs(0, [(1, 1)])

@@ -1,4 +1,7 @@
 import gc
+import random
+import sys
+import threading
 import weakref
 from fractions import Fraction
 
@@ -10,6 +13,7 @@ from semicf import (
     ALL_MINUS_TAIL,
     PLUS_ANCHOR,
     BudgetExhausted,
+    DenominatorBelowOne,
     RandomSpec,
     SemiRegularCF,
     anchor_index,
@@ -17,6 +21,7 @@ from semicf import (
     convergent,
     error_bound,
     evaluate,
+    fold_eval,
     random_tietze,
     series_partial_sum,
     shift_check,
@@ -63,6 +68,18 @@ class TestTail:
     def test_bad_depth(self):
         with pytest.raises(ValueError):
             tail(golden(3), 0, 0)
+
+    @pytest.mark.parametrize("query", [tail, shift_check, error_bound])
+    @pytest.mark.parametrize("pairs, message", [
+        ([(1, 1), (-1, 1)], "b_1 + x_1,1 = 0 < 1"),
+        ([(1, Fraction(3, 2)), (-1, Fraction(5, 3))], "b_1 + x_1,1 = 9/10 < 1"),
+        ([(1, 2), (1, Fraction(1, 3))], "b_2 + x_2,0 = 1/3 < 1"),
+    ])
+    def test_denominator_below_one_on_an_invalid_sequence(self, query, pairs, message):
+        cf = SemiRegularCF.from_pairs(0, pairs)
+        with pytest.raises(DenominatorBelowOne) as exc:
+            query(cf, 0, 2)
+        assert str(exc.value) == message
 
 
 class TestShift:
@@ -271,3 +288,64 @@ def test_memoized_queries_match_a_fresh_sequence(seed, length, integer_only, dat
         assert query(cf, n, k) == query(random_tietze(spec), n, k), name
     fresh = random_tietze(spec)
     assert cf == fresh and hash(cf) == hash((cf.b0, cf.terms)) and repr(cf) == repr(fresh)
+
+
+@settings(deadline=None, max_examples=100)
+@given(seed=st.integers(0, 2**32), length=st.integers(1, 16), integer_only=st.booleans())
+def test_tail_queries_match_the_independent_oracle(seed, length, integer_only):
+    """The integer tail sweep agrees with fold_eval and with a Fraction recurrence."""
+    spec = RandomSpec(
+        seed=seed, length=length, minus_probability=Fraction(1, 2), integer_only=integer_only
+    )
+    cf = random_tietze(spec)
+    q = [Fraction(0), Fraction(1)]  # q[n + 1] is q_n, from q_{-1} = 0 and q_0 = 1
+    for t in cf.terms:
+        q.append(t.b * q[-1] + t.a * q[-2])
+    for end in range(1, length + 1):
+        for n in range(end):
+            k = end - n
+            x = tail(cf, n, k).value
+            assert x == fold_eval(SemiRegularCF(0, cf.terms[n:n + k]))
+            assert shift_check(cf, n, k) == fold_eval(cf, end)
+            assert error_bound(cf, n, k) == 1 / (q[n + 1] * abs(q[n + 1] + x * q[n]))
+
+
+def test_threads_sharing_one_sweep_answer_as_a_fresh_sequence():
+    # Deep sweeps at ten ends, so threads both restart and extend one another's sweeps.
+    spec = RandomSpec(seed=12, length=30, minus_probability=Fraction(1, 2))
+    cf = random_tietze(spec)
+    queries = [tail, shift_check, error_bound]
+    ends = range(21, 31)
+    expected = {}
+    for end in ends:
+        fresh = random_tietze(spec)
+        for n in range(end):
+            for query in queries:
+                expected[query, n, end - n] = query(fresh, n, end - n)
+    wrong = []
+    errors = []
+
+    def run(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(2500):
+                query, end = rng.choice(queries), rng.choice(ends)
+                n = rng.randrange(end)
+                if query(cf, n, end - n) != expected[query, n, end - n]:
+                    wrong.append((query.__name__, n, end))
+        except Exception as exc:  # an exception would otherwise end the thread unseen
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert wrong == []
