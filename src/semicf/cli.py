@@ -89,7 +89,7 @@ def parse_cf(text: Union[str, bytes]) -> SemiRegularCF:
         if not isinstance(raw, dict) or set(raw) != {"a", "b"}:
             raise ParseError(f"{where}: expected an object with fields 'a' and 'b'")
         a = raw["a"]
-        if isinstance(a, bool) or a not in (1, -1):
+        if type(a) is not int or a not in (1, -1):  # not True, not 1.0
             raise ParseError(f"{where}.a: must be 1 or -1, got {a!r}")
         b = _parse_rational(raw["b"], f"{where}.b")
         if b <= 0:
@@ -104,6 +104,10 @@ def serialize_cf(cf: SemiRegularCF) -> str:
         "terms": [{"a": t.a, "b": str(t.b)} for t in cf.terms],
     }
     return json.dumps(doc, separators=(",", ":"))
+
+
+class _Refused(Exception):
+    """A command refuses its input: main prints args[0] as the answer and exits 1."""
 
 
 class _OutputTooLarge(Exception):
@@ -155,16 +159,13 @@ def _first_violation(cf: SemiRegularCF) -> Optional[dict]:
     return None if v is None else {"index": v.index, "reason": v.reason}
 
 
-def _require(cf: SemiRegularCF, terms: int) -> Optional[int]:
-    """Emit an error and return 1 if cf is invalid or has fewer than `terms` terms."""
+def _require(cf: SemiRegularCF, terms: int) -> None:
+    """Refuse cf if it is invalid or has fewer than `terms` terms."""
     violation = _first_violation(cf)
     if violation is not None:
-        _emit({"error": "invalid input", "first_violation": violation})
-        return 1
+        raise _Refused({"error": "invalid input", "first_violation": violation})
     if terms > len(cf):
-        _emit({"error": "insufficient terms", "available": len(cf)})
-        return 1
-    return None
+        raise _Refused({"error": "insufficient terms", "available": len(cf)})
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
@@ -189,9 +190,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         sys.stderr.write("error: --max-steps must be >= 1\n")
         return 2
     cf = _read_cf(args, args.max_steps + 1)
-    bad = _require(cf, 0)
-    if bad:
-        return bad
+    _require(cf, 0)
     try:
         result = tails.evaluate(cf, eps, args.max_steps)
     except BudgetExhausted as exc:
@@ -217,9 +216,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_convergents(args: argparse.Namespace) -> int:
     cf = _read_cf(args, args.n)
-    bad = _require(cf, args.n)
-    if bad:
-        return bad
+    _require(cf, args.n)
     rows: List[dict] = []
     for s in core.iter_states(cf, args.n):
         row = {
@@ -237,9 +234,7 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     cf = _read_cf(args, args.n + 1)
-    bad = _require(cf, args.n + 1)
-    if bad:
-        return bad
+    _require(cf, args.n + 1)
     cert = tails.certify(cf, args.n)
     _emit(
         {
@@ -296,12 +291,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
     cf = _read_cf(args, 0)
     violation = _first_violation(cf)
     if violation is not None:
-        _emit({"valid": False, "first_violation": violation, "checks": []})
-        return 1
+        raise _Refused({"valid": False, "first_violation": violation, "checks": []})
     if len(cf) > CHECK_MAX_TERMS:
-        _emit({"error": "input too large",
-               "detail": f"check takes at most {CHECK_MAX_TERMS} terms, got {len(cf)}"})
-        return 1
+        raise _Refused({"error": "input too large",
+                        "detail": f"check takes at most {CHECK_MAX_TERMS} terms, got {len(cf)}"})
     checks = [
         {"name": name, "pass": first is None, "first_failure": first}
         for name, first in _first_failures(cf).items()
@@ -368,6 +361,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except ParseError as exc:
         _emit({"error": "parse error", "detail": str(exc)})
+        return 1
+    except _Refused as exc:
+        _emit(exc.args[0])
         return 1
     except _OutputTooLarge as exc:
         limit = sys.get_int_max_str_digits()

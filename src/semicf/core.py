@@ -16,7 +16,6 @@ equality.  All types are immutable; operations return new values.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -44,7 +43,7 @@ class Term:
     b: Fraction
 
     def __post_init__(self) -> None:
-        if self.a is True or self.a is False or self.a not in (1, -1):
+        if type(self.a) is not int or self.a not in (1, -1):  # not True, not 1.0
             raise ValueError(f"numerator sign must be +1 or -1, got {self.a!r}")
         object.__setattr__(self, "b", Fraction(self.b))
         if self.b <= 0:
@@ -81,9 +80,6 @@ class PeriodicTerms(Sequence):
         if isinstance(i, slice):
             return tuple(self.period[j % p] for j in range(self.length)[i])
         return self.period[range(self.length)[i] % p]
-
-    def __iter__(self) -> Iterator[Term]:
-        return itertools.islice(itertools.cycle(self.period), self.length)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PeriodicTerms):
@@ -159,9 +155,14 @@ class SemiRegularCF:
 
     def prefix(self, n: int) -> "SemiRegularCF":
         """The sub-sequence keeping only terms 1..n."""
-        if not 0 <= n <= len(self.terms):
-            raise InsufficientTerms(f"prefix length {n} outside 0..{len(self.terms)}")
-        return SemiRegularCF(self.b0, self.terms[:n])
+        return SemiRegularCF(self.b0, self.terms[:_index(self, n)])
+
+
+def _index(cf: SemiRegularCF, n: int) -> int:
+    """n, if 0 <= n <= len(cf): an index of a state, a prefix or a tail end."""
+    if not 0 <= n <= len(cf):
+        raise InsufficientTerms(f"index {n} outside 0..{len(cf)}")
+    return n
 
 
 @dataclass(frozen=True)
@@ -184,10 +185,7 @@ def validate(cf: SemiRegularCF, upto: Optional[int] = None) -> ValidationReport:
     not errors.
     """
     available = len(cf)
-    if upto is None:
-        upto = available
-    if upto > available:
-        raise InsufficientTerms(f"requested {upto} of {available} terms")
+    upto = available if upto is None else _index(cf, upto)
     scan = upto
     if isinstance(cf.terms, PeriodicTerms):
         # With period p, a violation at n > p repeats at n - p, so indices
@@ -264,10 +262,7 @@ def step(s: ConvergentState, t: Term) -> ConvergentState:
 
 def iter_states(cf: SemiRegularCF, upto: Optional[int] = None) -> Iterator[ConvergentState]:
     """Yield the states for n = 0 .. upto (default: the whole sequence)."""
-    if upto is None:
-        upto = len(cf)
-    if upto > len(cf):
-        raise InsufficientTerms(f"requested {upto} of {len(cf)} terms")
+    upto = len(cf) if upto is None else _index(cf, upto)
     s = init_state(cf.b0)
     yield s
     for n in range(1, upto + 1):
@@ -287,9 +282,7 @@ def _states_through(cf: SemiRegularCF, n: int) -> List[ConvergentState]:
 
 def state_at(cf: SemiRegularCF, n: int) -> ConvergentState:
     """The recurrence window after consuming terms 1..n; costs O(n), not O(len(cf))."""
-    if n < 0 or n > len(cf):
-        raise InsufficientTerms(f"state index {n} outside 0..{len(cf)}")
-    return _states_through(cf, n)[n]
+    return _states_through(cf, _index(cf, n))[n]
 
 
 def convergent(cf: SemiRegularCF, n: int) -> Fraction:
@@ -323,10 +316,8 @@ def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
     convergent(cf, n) exactly.  The sum runs over integer pairs, added as
     Knuth (TAOCP 4.5.1) adds fractions: two gcds with the denominators' gcd.
     """
-    if not 0 <= n <= len(cf):
-        raise InsufficientTerms(f"requested {n} of {len(cf)} terms")
     num, den = cf.b0.numerator, cf.b0.denominator
-    for s in _states_through(cf, n)[1:n + 1]:
+    for s in _states_through(cf, _index(cf, n))[1:n + 1]:
         sign = s.det_product if s.n % 2 == 1 else -s.det_product
         t_num, t_den = sign * s.scale * s.scale, s.Q_prev * s.Q_cur
         g = gcd(den, t_den)

@@ -24,8 +24,8 @@ def fold_eval(cf: SemiRegularCF, n: Optional[int] = None) -> Fraction:
     """
     if n is None:
         n = len(cf)
-    if n > len(cf):
-        raise InsufficientTerms(f"requested {n} of {len(cf)} terms")
+    if not 0 <= n <= len(cf):
+        raise InsufficientTerms(f"index {n} outside 0..{len(cf)}")
     r, s = 0, 1
     for i, t in zip(range(n, 0, -1), reversed(cf.terms[:n])):
         u, v = t.b.numerator, t.b.denominator

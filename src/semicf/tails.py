@@ -27,18 +27,16 @@ from .core import (
     ConvergentState,
     RationalLike,
     SemiRegularCF,
+    _index,
     _states_through,
     _tietze_violation,
-    init_state,
     iter_states,
     state_at,
-    step,
 )
 from .errors import (
     BudgetExhausted,
     DenominatorBelowOne,
     IdentityViolation,
-    InsufficientTerms,
     TietzeViolation,
 )
 
@@ -109,9 +107,7 @@ def _tail_pair(cf: SemiRegularCF, n: int, k: int) -> Tuple[int, int]:
         raise ValueError("tail depth k must be >= 1")
     if n < 0:
         raise ValueError("tail start index n must be >= 0")
-    if n + k > len(cf):
-        raise InsufficientTerms(f"requested {n + k} of {len(cf)} terms")
-    return _tail_sweep(cf, n + k, k)[k - 1]
+    return _tail_sweep(cf, _index(cf, n + k), k)[k - 1]
 
 
 def tail(cf: SemiRegularCF, n: int, k: int) -> TailValue:
@@ -180,9 +176,7 @@ def uniform_step_bound(cf: SemiRegularCF, n: int) -> Fraction:
 
 def anchor_index(cf: SemiRegularCF, n: int) -> Optional[int]:
     """The largest m with 0 <= m < n and a_{m+1} = +1, if any."""
-    if n > len(cf):
-        raise InsufficientTerms(f"requested {n} of {len(cf)} terms")
-    for m in range(n - 1, -1, -1):
+    for m in range(_index(cf, n) - 1, -1, -1):
         if cf.a(m + 1) == 1:
             return m
     return None
@@ -192,13 +186,12 @@ def certify(cf: SemiRegularCF, n: int) -> ErrorCertificate:
     """An exact certificate on the distance from p_n/q_n to every deeper convergent.
 
     With an anchor m < n whose next numerator is +1, the triangle inequality
-    through p_m/q_m gives |p_n/q_n - p_m/q_m| + 1/q_m^2 (the second leg uses
-    that all tails past the anchor are positive), at most 2/q_m^2 when the
-    first leg is itself at most 1/q_m^2.  Without an anchor the uniform
-    one-step bound applies directly.
+    through p_m/q_m gives |p_n/q_n - p_m/q_m| plus the uniform bound at m,
+    1/q_m^2 (it uses that all tails past the anchor are positive), at most
+    2/q_m^2 when the first leg is itself at most 1/q_m^2.  Without an anchor
+    the uniform one-step bound applies directly.
     """
-    if n + 1 > len(cf):
-        raise InsufficientTerms(f"certify at n={n} needs {n + 1} terms")
+    _index(cf, n + 1)  # a certificate at n needs term n + 1; anchor_index checks n >= 0
     m = anchor_index(cf, n)
     # One walk to n that keeps only the states at m and n, not the memo's 0..n.
     s_m = None
@@ -208,11 +201,7 @@ def certify(cf: SemiRegularCF, n: int) -> ErrorCertificate:
     if s_m is None:
         return ErrorCertificate(
             n, None, Fraction(*_uniform_bound(s_n, cf.a(n + 1))), ALL_MINUS_TAIL)
-    # Both legs over the common denominator |Q_n| Q_m^2: |p_n/q_n - p_m/q_m|
-    # is |P_n Q_m - P_m Q_n| |Q_m| of it, and 1/q_m^2 is scale_m^2 |Q_n|.
-    leg = abs(s_n.P_cur * s_m.Q_cur - s_m.P_cur * s_n.Q_cur) * abs(s_m.Q_cur)
-    second = s_m.scale * s_m.scale * abs(s_n.Q_cur)
-    bound = Fraction(leg + second, abs(s_n.Q_cur) * s_m.Q_cur * s_m.Q_cur)
+    bound = abs(s_n.value - s_m.value) + Fraction(*_uniform_bound(s_m, 1))
     return ErrorCertificate(n, m, bound, PLUS_ANCHOR)
 
 
@@ -235,8 +224,7 @@ def evaluate(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     best: Optional[Tuple[int, int]] = None
-    s = init_state(cf.b0)
-    while True:
+    for s in iter_states(cf, min(len(cf), max_steps)):
         n = s.n
         a_next = cf.a(n + 1) if n < len(cf) else None
         # validate's rule and order: b_n >= 1, then the gap with a_{n+1}.
@@ -250,6 +238,4 @@ def evaluate(
             return EvalResult(s.value, Fraction(num, den), n, False)
         if best is None or num * best[1] < best[0] * den:
             best = (num, den)
-        if n == max_steps:
-            raise BudgetExhausted(max_steps, Fraction(*best))
-        s = step(s, cf.term(n + 1))
+    raise BudgetExhausted(max_steps, Fraction(*best))

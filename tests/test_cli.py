@@ -7,6 +7,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semicf import IdentityViolation, ParseError, RandomSpec, SemiRegularCF, random_tietze
 from semicf import cli, core, oracle, tails
@@ -36,6 +38,14 @@ class TestParse:
     def test_zero_sign_rejected(self):
         with pytest.raises(ParseError):
             parse_cf('{"b0":"1","terms":[{"a":0,"b":"2"}]}')
+
+    @pytest.mark.parametrize("a", ["1.0", "-1.0", "1e0", "true"])
+    def test_sign_that_is_not_an_int_rejected(self, monkeypatch, capsys, a):
+        stdin = '{"b0":"0","terms":[{"a":%s,"b":"1"}]}' % a
+        with pytest.raises(ParseError, match=r"terms\[0\]\.a: must be 1 or -1"):
+            parse_cf(stdin)
+        code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
+        assert code == 1 and json.loads(out)["error"] == "parse error"
 
     def test_noncanonical_normalized(self):
         cf = parse_cf('{"b0":"4/6","terms":[]}')
@@ -517,3 +527,81 @@ def test_check_reports_an_invalid_document_over_the_term_budget(monkeypatch, cap
     code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
     assert code == 1
     assert json.loads(out)["first_violation"] == {"index": 1, "reason": "BTooSmall"}
+
+
+COUNT = st.integers(0, 300).map(str)
+# Edge counts are drawn only without --repeat: --repeat unrolls the period
+# to the count, so a count near sys.maxsize asks for that much real work.
+EDGE_COUNT = st.sampled_from(["-1", str(sys.maxsize - 1), str(sys.maxsize), "2.5"])
+# -h, --h, --he, ... ask argparse for its help text on stdout, by design.
+TEXT = st.text(max_size=12).filter(lambda t: not t.startswith("-h") and
+                                   not (len(t) > 2 and "--help".startswith(t)))
+RATIONAL = st.one_of(st.fractions(max_denominator=400).map(str), TEXT)
+FLAGS = {
+    "expand": [],
+    "eval": ["--max-steps", "--decimals", "--repeat"],
+    "convergents": ["-n", "--decimals", "--repeat"],
+    "certify": ["-n", "--repeat"],
+    "check": [],
+}
+SMALL_B = st.fractions(min_value=Fraction(1, 3), max_value=5, max_denominator=4)
+DOCUMENT = st.builds(
+    lambda b0, terms: serialize_cf(SemiRegularCF.from_pairs(b0, terms)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    st.lists(st.tuples(st.sampled_from([1, -1]), SMALL_B), max_size=6),
+)
+# A valid document with one more term, which is a JSON value parse_cf must
+# refuse or a valid term spelled in an odd way.
+ODD_TERM = st.fixed_dictionaries({
+    "a": st.sampled_from([1, -1, 1.0, -1.0, 0, 2, True, "1", None]),
+    "b": st.one_of(SMALL_B.map(str), st.sampled_from([2, 2.0, "0", "-1", "1.5", "02", ""])),
+})
+
+
+@st.composite
+def odd_document(draw):
+    doc = json.loads(draw(DOCUMENT))
+    terms = doc["terms"]
+    terms.insert(draw(st.integers(0, len(terms))), draw(ODD_TERM))
+    return json.dumps(doc)
+
+
+@st.composite
+def cli_argv(draw):
+    """argv over every subcommand and its flags, with values valid or not."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    argv = [command]
+    flags = draw(st.lists(st.sampled_from(FLAGS[command]), unique=True)) if FLAGS[command] else []
+    count = COUNT if "--repeat" in flags else st.one_of(COUNT, EDGE_COUNT)
+    if command == "expand":
+        argv += ["--algo", draw(st.sampled_from(["regular", "negative", "nearest", "x"]))]
+        argv.append(draw(RATIONAL))
+    if command == "eval":
+        argv += ["--eps", draw(RATIONAL)]
+    for flag in flags:
+        argv += [flag] if flag == "--repeat" else [flag, draw(count)]
+    if draw(st.integers(0, 9)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--bogus", "-n", "7"])))
+    return argv
+
+
+@settings(deadline=2000, max_examples=500)
+@given(argv=cli_argv(), stdin=st.one_of(DOCUMENT, odd_document(), st.text(max_size=60)))
+def test_cli_is_total(argv, stdin):
+    """Whatever argv and stdin, main exits 0..3, answers with one JSON line on
+    stdout (usage errors: a message on stderr instead), and never a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), out, err
+    try:
+        code = main(argv)
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = old
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in out + err
+    if code == 2:
+        assert out == "" and err.endswith("\n") and err.startswith(("usage: semicf", "error: "))
+    else:
+        assert err == "" and out.count("\n") == 1 and out.endswith("\n")
+        json.loads(out)

@@ -41,6 +41,8 @@ class TestTerm:
             Term(0, Fraction(2))
         with pytest.raises(ValueError):
             Term(True, Fraction(2))
+        with pytest.raises(ValueError):
+            Term(1.0, Fraction(2))
 
     def test_rejects_nonpositive_denominator(self):
         with pytest.raises(ValueError):

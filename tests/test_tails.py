@@ -22,12 +22,14 @@ from semicf import (
     error_bound,
     evaluate,
     fold_eval,
+    iter_states,
     random_tietze,
     series_partial_sum,
     shift_check,
     state_at,
     tail,
     uniform_step_bound,
+    validate,
 )
 from semicf.errors import InsufficientTerms
 
@@ -168,6 +170,12 @@ class TestCertify:
         q_prev = convergent(cf, 5).denominator
         assert cert.bound <= Fraction(2, q_prev * q_prev)
 
+    @pytest.mark.parametrize("cf", [golden(4), all_minus_two(4)], ids=["anchored", "all-minus"])
+    def test_needs_the_term_after_n(self, cf):
+        certify(cf, len(cf) - 1)
+        with pytest.raises(InsufficientTerms):
+            certify(cf, len(cf))
+
     def test_cauchy_property(self):
         for seed in (2, 5, 11, 14):
             cf = corpus_cf(seed)
@@ -200,6 +208,8 @@ class TestEvaluate:
         assert res.approximation == Fraction(7, 3)
         assert res.certified_error == 0
         assert res.steps_used == 1
+        # A budget of len(cf) steps still reaches the last term.
+        assert evaluate(cf, Fraction(1, 10**30), max_steps=1) == res
 
     def test_budget(self):
         with pytest.raises(BudgetExhausted) as exc:
@@ -215,6 +225,11 @@ class TestEvaluate:
         for eps, steps in [(1, 0), (Fraction(1, 2), 1), (Fraction(1, 3), 3), (Fraction(1, 9), 3)]:
             result = evaluate(cf, eps)
             assert (result.steps_used, result.certified_error) == (steps, bounds[steps])
+        # The budget reports the smallest bound seen, not the last one.
+        for max_steps, best in [(2, Fraction(1, 2)), (len(cf) - 1, Fraction(1, 9))]:
+            with pytest.raises(BudgetExhausted) as exc:
+                evaluate(cf, Fraction(1, 10), max_steps)
+            assert (exc.value.max_steps, exc.value.best_bound) == (max_steps, best)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
@@ -233,6 +248,34 @@ QUERIES = [
     ("uniform_step_bound", lambda cf, n, k: uniform_step_bound(cf, n)),
     ("certify", lambda cf, n, k: certify(cf, n)),
 ]
+
+
+# Every call that takes an index i in 0..len(cf), as a function of cf and i.
+# The tail queries take i as their end n + k, with k = 1.
+INDEX_CALLS = {
+    "state_at": state_at,
+    "convergent": convergent,
+    "series_partial_sum": series_partial_sum,
+    "iter_states": lambda cf, i: list(iter_states(cf, i)),
+    "validate": lambda cf, i: validate(cf, upto=i),
+    "prefix": lambda cf, i: cf.prefix(i),
+    "anchor_index": anchor_index,
+    "certify": certify,
+    "tail": lambda cf, i: tail(cf, i - 1, 1),
+    "shift_check": lambda cf, i: shift_check(cf, i - 1, 1),
+    "error_bound": lambda cf, i: error_bound(cf, i - 1, 1),
+    "fold_eval": fold_eval,
+}
+
+
+@pytest.mark.parametrize("i", [-1, 5], ids=["-1", "len+1"])
+@pytest.mark.parametrize("name", INDEX_CALLS)
+def test_index_outside_the_sequence_raises_insufficient_terms(name, i):
+    cf = golden(4)
+    # A negative start n of a tail query stays an argument error, as k < 1 is.
+    negative_start = i < 0 and name in ("tail", "shift_check", "error_bound")
+    with pytest.raises(ValueError if negative_start else InsufficientTerms):
+        INDEX_CALLS[name](cf, i)
 
 
 class TestMemo:
