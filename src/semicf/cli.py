@@ -143,7 +143,7 @@ def _emit(doc: Any) -> None:
 
 
 def _read_cf(args: argparse.Namespace, horizon: int) -> SemiRegularCF:
-    cf = parse_cf(sys.stdin.read())
+    cf = parse_cf(sys.stdin.buffer.read())  # bytes: json.loads decodes them, whatever the locale
     if getattr(args, "repeat", False):
         if not cf.terms:
             raise ParseError("--repeat needs at least one term to continue")
@@ -191,17 +191,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return 2
     cf = _read_cf(args, args.max_steps + 1)
     _require(cf, 0)
-    try:
-        result = tails.evaluate(cf, eps, args.max_steps)
-    except BudgetExhausted as exc:
-        _emit(
-            {
-                "error": "budget exhausted",
-                "max_steps": exc.max_steps,
-                "best_bound": exc.best_bound,
-            }
-        )
-        return 3
+    result = tails.evaluate(cf, eps, args.max_steps)
     doc = {
         "approximation": result.approximation,
         "certified_error": result.certified_error,
@@ -365,6 +355,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _Refused as exc:
         _emit(exc.args[0])
         return 1
+    except BudgetExhausted as exc:
+        _emit({"error": "budget exhausted", "max_steps": exc.max_steps,
+               "best_bound": exc.best_bound})
+        return 3
     except _OutputTooLarge as exc:
         limit = sys.get_int_max_str_digits()
         detail = str(exc) or (

@@ -50,27 +50,17 @@ class Term:
             raise ValueError(f"partial denominator must be positive, got {self.b}")
 
 
+@dataclass(frozen=True)
 class PeriodicTerms(Sequence):
     """The first `length` terms of an endlessly repeated period, unrolled lazily.
 
     Item i (0-based) is period[i % len(period)].  Immutable; compares equal
     to, and hashes like, the tuple of the same terms (hashing builds that
-    tuple, so it costs O(length)).
+    tuple, so it costs O(length)); the dataclass keeps both methods.
     """
 
-    # A plain class rather than a dataclass: every CLI process imports this
-    # module, and the dataclass decorator would cost more than the class.
-    __slots__ = ("period", "length")
-
-    def __init__(self, period: Tuple[Term, ...], length: int) -> None:
-        object.__setattr__(self, "period", period)
-        object.__setattr__(self, "length", length)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __repr__(self) -> str:
-        return f"PeriodicTerms(period={self.period!r}, length={self.length!r})"
+    period: Tuple[Term, ...]
+    length: int
 
     def __len__(self) -> int:
         return self.length
@@ -230,6 +220,8 @@ class ConvergentState:
     p_cur = property(lambda s: Fraction(s.P_cur, s.scale))
     q_prev = property(lambda s: Fraction(s.Q_prev, s.scale))
     q_cur = property(lambda s: Fraction(s.Q_cur, s.scale))
+    # (-1)^{n-1} a_1...a_n, which p_n q_{n-1} - p_{n-1} q_n equals
+    det = property(lambda s: s.det_product if s.n % 2 == 1 else -s.det_product)
 
     @property
     def value(self) -> Fraction:
@@ -299,7 +291,7 @@ def determinant_check(s: ConvergentState) -> int:
     """
     if s.n < 1:
         raise ValueError("determinant identity needs n >= 1")
-    expected = s.det_product if s.n % 2 == 1 else -s.det_product
+    expected = s.det
     actual = s.P_cur * s.Q_prev - s.P_prev * s.Q_cur  # scale**2 times the identity
     if actual != expected * s.scale * s.scale:
         raise IdentityViolation(
@@ -318,8 +310,7 @@ def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
     """
     num, den = cf.b0.numerator, cf.b0.denominator
     for s in _states_through(cf, _index(cf, n))[1:n + 1]:
-        sign = s.det_product if s.n % 2 == 1 else -s.det_product
-        t_num, t_den = sign * s.scale * s.scale, s.Q_prev * s.Q_cur
+        t_num, t_den = s.det * s.scale * s.scale, s.Q_prev * s.Q_cur
         g = gcd(den, t_den)
         num = num * (t_den // g) + t_num * (den // g)
         g2 = gcd(num, g)
@@ -329,8 +320,7 @@ def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
 
 def series_term(s: ConvergentState) -> Fraction:
     """The n-th series term (-1)^{n-1} a_1...a_n / (q_{n-1} q_n), for n >= 1."""
-    sign = s.det_product if s.n % 2 == 1 else -s.det_product
-    return Fraction(sign * s.scale * s.scale, s.Q_prev * s.Q_cur)
+    return Fraction(s.det * s.scale * s.scale, s.Q_prev * s.Q_cur)
 
 
 def gap(s: ConvergentState, a_next: int) -> Fraction:

@@ -199,7 +199,7 @@ def test_criterion_9_anchor_certificates(corpus):
 
 
 def _run_check(monkeypatch, capsys, document: str):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(document))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(document.encode())))
     code = cli_main(["check"])
     return code, json.loads(capsys.readouterr().out)
 

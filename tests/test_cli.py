@@ -1,9 +1,12 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,7 +21,8 @@ from conftest import corpus_cf, golden
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    # Bytes-backed, as a process's stdin is: main reads sys.stdin.buffer.
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
     code = main(argv)
     return code, capsys.readouterr().out
 
@@ -45,6 +49,24 @@ class TestParse:
         with pytest.raises(ParseError, match=r"terms\[0\]\.a: must be 1 or -1"):
             parse_cf(stdin)
         code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
+        assert code == 1 and json.loads(out)["error"] == "parse error"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('[]', "document must be a JSON object"),
+            ('{"b0":"1"}', "document needs both 'b0' and 'terms'"),
+            ('{"terms":[]}', "document needs both 'b0' and 'terms'"),
+            ('{"b0":"1","terms":{}}', "terms: expected a list"),
+            ('{"b0":"1","terms":[{"a":1}]}', r"terms\[0\]: expected an object with fields"),
+            ('{"b0":"1","terms":[{"a":1,"b":"1","c":0}]}', r"terms\[0\]: expected an object"),
+            ('{"b0":"1","terms":[[1,"1"]]}', r"terms\[0\]: expected an object"),
+        ],
+    )
+    def test_document_shape_errors(self, monkeypatch, capsys, text, message):
+        with pytest.raises(ParseError, match=message):
+            parse_cf(text)
+        code, out = run_cli(monkeypatch, capsys, ["check"], stdin=text)
         assert code == 1 and json.loads(out)["error"] == "parse error"
 
     def test_noncanonical_normalized(self):
@@ -189,6 +211,20 @@ class TestEvalCommand:
         assert code == 0
         assert json.loads(out)["decimal"] == "1.6154"
 
+    @pytest.mark.parametrize("b0, decimal", [("-7/2", "-4"), ("-5/2", "-2"), ("5/2", "2")])
+    def test_decimals_zero_rounds_half_to_even(self, monkeypatch, capsys, b0, decimal):
+        argv = ["eval", "--eps", "1/10", "--decimals", "0"]
+        stdin = '{"b0":"%s","terms":[]}' % b0
+        code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        assert code == 0 and json.loads(out)["decimal"] == decimal
+
+    def test_zero_max_steps_is_usage_error_before_stdin(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(_UnreadableStdin()))
+        code = main(["eval", "--eps", "1/10", "--max-steps", "0"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --max-steps must be >= 1\n"
+
 
 class TestConvergentsCommand:
     def test_listing(self, monkeypatch, capsys):
@@ -197,6 +233,15 @@ class TestConvergentsCommand:
         rows = json.loads(out)["convergents"]
         assert [r["q"] for r in rows] == ["1", "1", "2", "3"]
         assert rows[2]["value"] == "3/2"
+
+    def test_decimals_zero(self, monkeypatch, capsys):
+        stdin = '{"b0":"-4","terms":[{"a":1,"b":"2"},{"a":1,"b":"2"}]}'
+        argv = ["convergents", "-n", "2", "--decimals", "0"]
+        code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        rows = json.loads(out)["convergents"]
+        assert code == 0
+        assert [(r["value"], r["decimal"]) for r in rows] == [("-4", "-4"), ("-7/2", "-4"),
+                                                              ("-18/5", "-4")]
 
     def test_insufficient_terms(self, monkeypatch, capsys):
         code, out = run_cli(monkeypatch, capsys, ["convergents", "-n", "99"], stdin=GOLDEN_DOC)
@@ -356,12 +401,32 @@ def test_golden_output_on_rational_documents(monkeypatch, capsys, argv, stdin, c
     assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
 
 
+BAD_UTF8 = b"\xff{"
+BAD_UTF8_ANSWER = ('{"error":"parse error","detail":"invalid JSON: \'utf-8\' codec '
+                   'can\'t decode byte 0xff in position 0: invalid start byte"}\n')
+
+
+@pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}],
+                         ids=["strict-utf8", "C-locale"])
+def test_process_reads_stdin_as_bytes_whatever_its_encoding(env):
+    """A process's stdin decodes by its locale and PYTHONIOENCODING; main reads
+    the bytes under it, so both settings give the same parse error."""
+    keep = {k: v for k, v in os.environ.items()
+            if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LC_CTYPE", "LANG")}
+    keep["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "semicf.cli", "check"], input=BAD_UTF8,
+                          capture_output=True, env={**keep, **env}, timeout=60)
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (1, BAD_UTF8_ANSWER, b"")
+
+
 def test_usage_error_exit_2(monkeypatch, capsys):
     code, _ = run_cli(monkeypatch, capsys, ["nope"])
     assert code == 2
 
 
-class _UnreadableStdin:
+class _UnreadableStdin(io.BytesIO):
+    """The bytes under stdin; reading them, as text or as bytes, fails."""
+
     def read(self, *args):
         raise AssertionError("stdin read before the arguments were checked")
 
@@ -376,7 +441,7 @@ class _UnreadableStdin:
     ],
 )
 def test_negative_counts_are_usage_errors(monkeypatch, capsys, argv, flag):
-    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(_UnreadableStdin()))
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -394,7 +459,7 @@ def test_negative_counts_are_usage_errors(monkeypatch, capsys, argv, flag):
     ids=["eval", "convergents", "certify"],
 )
 def test_horizons_beyond_maxsize_are_usage_errors(monkeypatch, capsys, argv, flag):
-    monkeypatch.setattr(sys, "stdin", _UnreadableStdin())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(_UnreadableStdin()))
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
@@ -483,6 +548,14 @@ def test_zero_over_the_decimals_cap_answers_at_once(monkeypatch, capsys):
     start = time.perf_counter()
     code, out = run_cli(monkeypatch, capsys, argv, stdin='{"b0":"0","terms":[]}')
     assert time.perf_counter() - start < 1  # no billion-character string is built
+    _assert_output_too_large(code, out)
+
+
+def test_decimals_whose_digits_str_cannot_convert(monkeypatch, capsys):
+    # 4401 digits: within the cap that bounds places, over what str() converts.
+    stdin = '{"b0":"%s","terms":[]}' % ("9" * 4001)
+    argv = ["eval", "--eps", "1/10", "--decimals", "400"]
+    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
     _assert_output_too_large(code, out)
 
 
@@ -586,13 +659,15 @@ def cli_argv(draw):
 
 
 @settings(deadline=2000, max_examples=500)
-@given(argv=cli_argv(), stdin=st.one_of(DOCUMENT, odd_document(), st.text(max_size=60)))
+@given(argv=cli_argv(),
+       stdin=st.one_of(DOCUMENT, odd_document(), st.text(max_size=60), st.binary(max_size=60)))
 def test_cli_is_total(argv, stdin):
     """Whatever argv and stdin, main exits 0..3, answers with one JSON line on
     stdout (usage errors: a message on stderr instead), and never a traceback."""
+    data = stdin.encode() if isinstance(stdin, str) else stdin
     out, err = io.StringIO(), io.StringIO()
     old = sys.stdin, sys.stdout, sys.stderr
-    sys.stdin, sys.stdout, sys.stderr = io.StringIO(stdin), out, err
+    sys.stdin, sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO(data)), out, err
     try:
         code = main(argv)
     finally:

@@ -130,6 +130,19 @@ class TestPeriodic:
         other = SemiRegularCF.periodic(1, [(1, 1), (1, 2)], 10**12)
         assert one == two and one != other
 
+    def test_needs_a_period_and_a_nonnegative_length(self):
+        with pytest.raises(ValueError, match="nonempty period"):
+            SemiRegularCF.periodic(1, [], 5)
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            SemiRegularCF.periodic(1, [(1, 1)], -1)
+
+    def test_fields_are_read_only(self):
+        terms = SemiRegularCF.periodic(1, [(1, 1)], 5).terms
+        with pytest.raises(AttributeError, match="cannot assign to field 'length'"):
+            terms.length = 6
+        assert len(terms) == 5
+        assert repr(terms) == f"PeriodicTerms(period=({Term(1, Fraction(1))!r},), length=5)"
+
 
 PERIOD_TERMS = st.tuples(
     st.sampled_from([1, -1]),
@@ -245,6 +258,10 @@ class TestGap:
 
     def test_all_minus_n2(self):
         assert gap(state_at(all_minus_two(5), 2), -1) == 1
+
+    def test_rejects_a_sign_that_is_not_one(self):
+        with pytest.raises(ValueError, match="must be \\+1 or -1"):
+            gap(init_state(3), 0)
 
 
 def test_growth_thresholds():

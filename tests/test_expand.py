@@ -140,6 +140,12 @@ def test_each_denominator_is_the_rounded_complete_quotient(x, algo):
             assert cf.terms[n].a == _numerator(algo, quotient - b)
 
 
+def test_algorithm_must_be_an_expansion_algo():
+    with pytest.raises(ValueError, match="unknown expansion algorithm 'regular'"):
+        expand(Fraction(7, 3), "regular")
+    assert expand(Fraction(7, 3), ExpansionAlgo("regular")) == regular_expand(Fraction(7, 3))
+
+
 class TestRandomTietze:
     def test_deterministic(self):
         spec = RandomSpec(seed=42, length=30)

@@ -235,6 +235,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(golden(5), Fraction(0))
 
+    def test_rejects_a_zero_budget(self):
+        with pytest.raises(ValueError, match="max_steps must be >= 1"):
+            evaluate(golden(5), Fraction(1, 10), max_steps=0)
+
 
 # Every query the per-sequence memo serves, as (name, function of cf, n, k);
 # each is defined for 0 <= n < len(cf) and 1 <= k <= len(cf) - n.
