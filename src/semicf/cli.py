@@ -71,7 +71,7 @@ def parse_cf(text: Union[str, bytes]) -> SemiRegularCF:
         ) from exc
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
-    except ValueError as exc:  # a JSON number with more digits than int() converts
+    except ValueError as exc:  # bytes that do not decode, or an over-long JSON number
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("document must be a JSON object")
@@ -348,17 +348,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        except BudgetExhausted as exc:  # nested, so _OutputTooLarge from this _emit is caught
+            _emit({"error": "budget exhausted", "max_steps": exc.max_steps,
+                   "best_bound": exc.best_bound})
+            return 3
     except ParseError as exc:
         _emit({"error": "parse error", "detail": str(exc)})
         return 1
     except _Refused as exc:
         _emit(exc.args[0])
         return 1
-    except BudgetExhausted as exc:
-        _emit({"error": "budget exhausted", "max_steps": exc.max_steps,
-               "best_bound": exc.best_bound})
-        return 3
     except _OutputTooLarge as exc:
         limit = sys.get_int_max_str_digits()
         detail = str(exc) or (

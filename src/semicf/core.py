@@ -291,14 +291,13 @@ def determinant_check(s: ConvergentState) -> int:
     """
     if s.n < 1:
         raise ValueError("determinant identity needs n >= 1")
-    expected = s.det
     actual = s.P_cur * s.Q_prev - s.P_prev * s.Q_cur  # scale**2 times the identity
-    if actual != expected * s.scale * s.scale:
+    if actual != s.det * s.scale * s.scale:
         raise IdentityViolation(
             f"p_n q_(n-1) - p_(n-1) q_n = {Fraction(actual, s.scale * s.scale)}, "
-            f"expected {expected} at n={s.n}"
+            f"expected {s.det} at n={s.n}"
         )
-    return expected
+    return s.det
 
 
 def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:

@@ -39,9 +39,8 @@ class BudgetExhausted(CFError):
     """evaluate() ran out of steps before certifying the requested accuracy."""
 
     def __init__(self, max_steps: int, best_bound):
-        super().__init__(
-            f"no certificate within {max_steps} steps; best bound {best_bound}"
-        )
+        # Not str(best_bound): that raises ValueError past the int-to-str digit limit.
+        super().__init__(f"no certificate within {max_steps} steps; see best_bound")
         self.max_steps = max_steps
         self.best_bound = best_bound
 

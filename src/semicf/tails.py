@@ -185,23 +185,24 @@ def anchor_index(cf: SemiRegularCF, n: int) -> Optional[int]:
 def certify(cf: SemiRegularCF, n: int) -> ErrorCertificate:
     """An exact certificate on the distance from p_n/q_n to every deeper convergent.
 
-    With an anchor, the last m < n whose next numerator is +1, the triangle
-    inequality through p_m/q_m gives |p_n/q_n - p_m/q_m| plus the uniform
-    bound at m, 1/q_m^2 (it uses that all tails past the anchor are
-    positive), at most 2/q_m^2 when the first leg is itself at most
-    1/q_m^2.  Without an anchor the uniform one-step bound applies directly.
+    With an anchor m < n whose next numerator is +1, the triangle inequality
+    through p_m/q_m gives |p_n/q_n - p_m/q_m| plus the uniform bound at m,
+    1/q_m^2 (it uses that all tails past the anchor are positive), at most
+    2/q_m^2 when the first leg is itself at most 1/q_m^2.  Without an anchor
+    the uniform one-step bound applies directly.
     """
-    _index(cf, n + 1)  # a certificate at n needs term n + 1; iter_states checks n >= 0
-    # One walk to n that keeps only the states at the anchor and at n, not the memo's 0..n.
+    _index(cf, n + 1)  # a certificate at n needs term n + 1; anchor_index checks n >= 0
+    m = anchor_index(cf, n)
+    # One walk to n that keeps only the states at m and n, not the memo's 0..n.
     s_m = None
     for s_n in iter_states(cf, n):
-        if s_n.n < n and cf.a(s_n.n + 1) == 1:
+        if s_n.n == m:
             s_m = s_n
     if s_m is None:
         return ErrorCertificate(
             n, None, Fraction(*_uniform_bound(s_n, cf.a(n + 1))), ALL_MINUS_TAIL)
     bound = abs(s_n.value - s_m.value) + Fraction(*_uniform_bound(s_m, 1))
-    return ErrorCertificate(n, s_m.n, bound, PLUS_ANCHOR)
+    return ErrorCertificate(n, m, bound, PLUS_ANCHOR)
 
 
 def evaluate(

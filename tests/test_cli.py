@@ -512,6 +512,15 @@ def test_convergents_over_the_digit_limit(monkeypatch, capsys):
     _assert_output_too_large(code, out)
 
 
+def test_budget_exhausted_over_the_digit_limit(monkeypatch, capsys):
+    # b_1 = X/Y has 4000-digit parts; best_bound 1/q_1^2 = Y^2/X^2 has about 8000.
+    x, y = 2 * 10**3999 + 1, 10**3999
+    stdin = '{"b0":"0","terms":[{"a":1,"b":"%d/%d"},{"a":1,"b":"1"}]}' % (x, y)
+    argv = ["eval", "--eps", "1/100", "--max-steps", "1"]
+    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    _assert_output_too_large(code, out)
+
+
 @pytest.mark.parametrize("decimals", [5000, 10**7, sys.maxsize - 1])
 def test_decimals_over_the_digit_limit(monkeypatch, capsys, decimals):
     stdin = '{"b0":"1","terms":[{"a":1,"b":"1"}]}'

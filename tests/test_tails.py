@@ -231,6 +231,15 @@ class TestEvaluate:
                 evaluate(cf, Fraction(1, 10), max_steps)
             assert (exc.value.max_steps, exc.value.best_bound) == (max_steps, best)
 
+    def test_budget_with_a_bound_past_the_digit_limit(self):
+        # best_bound = 1/q_1^2 = y^2/x^2 has about 8000 digits, more than str() converts.
+        x, y = 2 * 10**3999 + 1, 10**3999
+        cf = SemiRegularCF.from_pairs(0, [(1, Fraction(x, y)), (1, 1)])
+        with pytest.raises(BudgetExhausted) as exc:
+            evaluate(cf, Fraction(1, 100), max_steps=1)
+        assert exc.value.best_bound == Fraction(y * y, x * x)
+        assert str(exc.value) == "no certificate within 1 steps; see best_bound"
+
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
             evaluate(golden(5), Fraction(0))
