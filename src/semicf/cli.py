@@ -107,11 +107,14 @@ def serialize_cf(cf: SemiRegularCF) -> str:
 
 
 class _Refused(Exception):
-    """A command refuses its input: main prints args[0] as the answer and exits 1."""
+    """A command refuses its input or output: main prints args[0] as the answer and exits 1."""
 
 
-class _OutputTooLarge(Exception):
-    """Too large to print; the message says why (none: a number has too many digits)."""
+def _too_large(detail: Optional[str] = None) -> _Refused:
+    """The refusal of a result too large to print; by default a number has too many digits."""
+    limit = sys.get_int_max_str_digits()
+    return _Refused({"error": "output too large", "detail": detail or
+                     f"a number in the result has over {limit} digits (PYTHONINTMAXSTRDIGITS)"})
 
 
 def _decimal_str(x: Fraction, places: int) -> str:
@@ -120,13 +123,13 @@ def _decimal_str(x: Fraction, places: int) -> str:
     # has more than `limit` digits (a zero, as many padded places), and the
     # power of ten need not be built to say so.
     if limit and places > limit + x.denominator.bit_length():
-        raise _OutputTooLarge
+        raise _too_large()
     scaled = round(x * 10**places)
     sign = "-" if scaled < 0 else ""
     try:
         digits = str(abs(scaled))
     except ValueError:  # more digits than str() converts
-        raise _OutputTooLarge from None
+        raise _too_large() from None
     digits = digits.rjust(places + 1, "0")
     if places == 0:
         return sign + digits
@@ -138,7 +141,7 @@ def _emit(doc: Any) -> None:
     try:
         text = json.dumps(doc, separators=(",", ":"), default=str)
     except ValueError:  # a Fraction with more digits than str() converts
-        raise _OutputTooLarge from None
+        raise _too_large() from None
     sys.stdout.write(text + "\n")
 
 
@@ -176,7 +179,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
         return 2
     b0, *pairs = itertools.islice(_euclid(x, ExpansionAlgo(args.algo)), EXPAND_MAX_TERMS + 2)
     if len(pairs) > EXPAND_MAX_TERMS:
-        raise _OutputTooLarge(f"the expansion has over {EXPAND_MAX_TERMS} terms")
+        raise _too_large(f"the expansion has over {EXPAND_MAX_TERMS} terms")
     sys.stdout.write(serialize_cf(SemiRegularCF.from_pairs(b0, pairs)) + "\n")
     return 0
 
@@ -350,7 +353,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         try:
             return args.func(args)
-        except BudgetExhausted as exc:  # nested, so _OutputTooLarge from this _emit is caught
+        except BudgetExhausted as exc:  # nested: "output too large" from this _emit goes on out
             _emit({"error": "budget exhausted", "max_steps": exc.max_steps,
                    "best_bound": exc.best_bound})
             return 3
@@ -359,12 +362,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except _Refused as exc:
         _emit(exc.args[0])
-        return 1
-    except _OutputTooLarge as exc:
-        limit = sys.get_int_max_str_digits()
-        detail = str(exc) or (
-            f"a number in the result has over {limit} digits (PYTHONINTMAXSTRDIGITS)")
-        _emit({"error": "output too large", "detail": detail})
         return 1
     except CFError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})

@@ -167,20 +167,17 @@ class ValidationReport:
     first_violation: Optional[Violation] = None
 
 
-def validate(cf: SemiRegularCF, upto: Optional[int] = None) -> ValidationReport:
-    """Check b_n >= 1 and b_n + a_{n+1} >= 1 through index `upto`.
+def validate(cf: SemiRegularCF) -> ValidationReport:
+    """Check b_n >= 1 and b_n + a_{n+1} >= 1 at every index.
 
-    The gap condition is checked wherever the successor term exists in the
-    full sequence; the final available term is exempt.  Violations are data,
-    not errors.
+    The final term is exempt from the gap condition, having no successor.
+    Violations are data, not errors.
     """
-    available = len(cf)
-    upto = available if upto is None else _index(cf, upto)
-    scan = upto
+    available = scan = len(cf)
     if isinstance(cf.terms, PeriodicTerms):
         # With period p, a violation at n > p repeats at n - p, so indices
         # 1..p (the gap at p reads a_{p+1} = a_1) decide the whole sequence.
-        scan = min(upto, len(cf.terms.period))
+        scan = min(available, len(cf.terms.period))
     for n in range(1, scan + 1):
         reason = _tietze_violation(cf.b(n), cf.a(n + 1) if n < available else None)
         if reason:

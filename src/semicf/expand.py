@@ -8,7 +8,6 @@ output validates and folds back to its input exactly.
 from __future__ import annotations
 
 import enum
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,6 +17,9 @@ from .core import RationalLike, SemiRegularCF, Term
 
 #: Denominator bound for random non-integer partial denominators.
 _DENOM_BOUND = 12
+
+#: Upper bound of b0 and of every partial denominator that random_tietze draws.
+_B_MAX = 8
 
 
 class ExpansionAlgo(enum.Enum):
@@ -96,7 +98,6 @@ class RandomSpec:
 
     seed: int
     length: int
-    b_max: Fraction = Fraction(8)
     minus_probability: Fraction = Fraction(1, 3)
     integer_only: bool = False
 
@@ -105,41 +106,34 @@ class RandomSpec:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.length < 1:
             raise ValueError("length must be >= 1")
-        object.__setattr__(self, "b_max", Fraction(self.b_max))
         object.__setattr__(
             self, "minus_probability", Fraction(self.minus_probability)
         )
-        if self.b_max < 2:
-            raise ValueError("b_max must be >= 2 so minus numerators stay reachable")
         if not 0 <= self.minus_probability <= 1:
             raise ValueError("minus_probability must lie in [0, 1]")
 
 
-def _draw_rational(
-    rng: random.Random, lo: Fraction, hi: Fraction, integer_only: bool
-) -> Fraction:
-    if integer_only:
-        return Fraction(rng.randint(math.ceil(lo), math.floor(hi)))
-    d = rng.randint(1, _DENOM_BOUND)
-    return Fraction(rng.randint(math.ceil(lo * d), math.floor(hi * d)), d)
+def _draw_rational(rng: random.Random, lo: int, integer_only: bool) -> Fraction:
+    d = 1 if integer_only else rng.randint(1, _DENOM_BOUND)
+    return Fraction(rng.randint(lo * d, _B_MAX * d), d)
 
 
 def random_tietze(spec: RandomSpec) -> SemiRegularCF:
     """A seeded random Tietze-valid sequence; deterministic in the seed.
 
-    Numerator signs are drawn first; each b_n is drawn from [2, b_max] when
-    the next numerator is -1 and from [1, b_max] otherwise, so validity holds
-    by construction.
+    Numerator signs are drawn first; b0 is drawn from [0, 8], and each b_n
+    from [2, 8] when the next numerator is -1 and from [1, 8] otherwise, so
+    validity holds by construction.
     """
     rng = random.Random(spec.seed)
     signs = [
         -1 if rng.random() < spec.minus_probability else 1
         for _ in range(spec.length)
     ]
-    b0 = _draw_rational(rng, Fraction(0), spec.b_max, spec.integer_only)
+    b0 = _draw_rational(rng, 0, spec.integer_only)
     terms = []
     for i in range(spec.length):
         needs_two = i + 1 < spec.length and signs[i + 1] == -1
-        lo = Fraction(2) if needs_two else Fraction(1)
-        terms.append(Term(signs[i], _draw_rational(rng, lo, spec.b_max, spec.integer_only)))
+        lo = 2 if needs_two else 1
+        terms.append(Term(signs[i], _draw_rational(rng, lo, spec.integer_only)))
     return SemiRegularCF(b0, tuple(terms))

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .core import (
     ConvergentState,
@@ -75,13 +75,18 @@ class EvalResult:
     exact: bool
 
 
-def _tail_sweep(cf: SemiRegularCF, end: int, k: int) -> List[Tuple[int, int]]:
-    """The tails that end at term `end`, through depth k: entry j is x_{end-j-1, j+1}
-    as an unreduced integer pair (r, s) with s > 0.
+def _tail_pair(cf: SemiRegularCF, n: int, k: int) -> Tuple[int, int]:
+    """x_{n,k} as an unreduced integer pair (r, s) with s > 0.
 
-    cf keeps the sweep of its latest `end`, extended back on demand, so the
-    queries of one end share one sweep of the largest depth they ask for.
+    cf keeps the sweep of its latest end n + k: entry j of it is
+    x_{end-j-1, j+1}, extended back on demand, so the queries of one end
+    share one sweep of the largest depth they ask for.
     """
+    if k < 1:
+        raise ValueError("tail depth k must be >= 1")
+    if n < 0:
+        raise ValueError("tail start index n must be >= 0")
+    end = _index(cf, n + k)
     memo = cf._sweep
     if memo is None or memo[0] != end:
         memo = (end, [])
@@ -98,16 +103,7 @@ def _tail_sweep(cf: SemiRegularCF, end: int, k: int) -> List[Tuple[int, int]]:
             raise DenominatorBelowOne(f"b_{m} + x_{m},{j} = {Fraction(den, v * s)} < 1")
         # Write slot j rather than append, as core._states_through does.
         xs[j:j + 1] = [(t.a * v * s, den)]
-    return xs
-
-
-def _tail_pair(cf: SemiRegularCF, n: int, k: int) -> Tuple[int, int]:
-    """x_{n,k} as an unreduced integer pair (r, s) with s > 0."""
-    if k < 1:
-        raise ValueError("tail depth k must be >= 1")
-    if n < 0:
-        raise ValueError("tail start index n must be >= 0")
-    return _tail_sweep(cf, _index(cf, n + k), k)[k - 1]
+    return xs[k - 1]
 
 
 def tail(cf: SemiRegularCF, n: int, k: int) -> TailValue:

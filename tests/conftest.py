@@ -23,7 +23,6 @@ def corpus_cf(seed: int, max_len: int = 50) -> SemiRegularCF:
         RandomSpec(
             seed=seed,
             length=(seed * 7) % max_len + 1,
-            b_max=Fraction(8),
             minus_probability=MINUS_PROBS[seed % 4],
             integer_only=seed % 2 == 0,
         )

@@ -10,7 +10,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semicf import IdentityViolation, ParseError, RandomSpec, SemiRegularCF, random_tietze
@@ -689,3 +689,61 @@ def test_cli_is_total(argv, stdin):
     else:
         assert err == "" and out.count("\n") == 1 and out.endswith("\n")
         json.loads(out)
+
+
+# A numeral of 3,990 to 4,310 digits, on both sides of the default 4300-digit
+# int/str conversion limit.  Built as a string: str() refuses such an int.
+LONG = st.builds(lambda lead, low, digits: str(lead) + str(low).rjust(digits - 1, "0"),
+                 st.integers(1, 9), st.integers(0, 10**6), st.integers(3990, 4310))
+LONG_B = st.one_of(LONG, st.builds("{}/{}".format, LONG, st.integers(1, 400)),
+                   st.builds("{}/{}".format, st.integers(1, 400), LONG))
+LONG_RATIONAL = st.builds(str.__add__, st.sampled_from(["", "-"]), LONG_B)
+# Counts and --max-steps of at most 3 keep each example well inside the deadline.
+SMALL_COUNT = st.integers(0, 3).map(str)
+# b0 and b_1 of about 4000 digits: p_1 = b0 b_1 + 1 has about 8000.
+LONG_DOC = '{"b0":"%s","terms":[{"a":1,"b":"%s"}]}' % ("7" * 4000, "9" * 4000)
+
+
+@st.composite
+def long_number_document(draw):
+    """A document with one term of long b inserted, and b0 long or not."""
+    doc = json.loads(draw(DOCUMENT))
+    if draw(st.booleans()):
+        doc["b0"] = draw(LONG_RATIONAL)
+    term = {"a": draw(st.sampled_from([1, -1])), "b": draw(LONG_B)}
+    doc["terms"].insert(draw(st.integers(0, len(doc["terms"]))), term)
+    return json.dumps(doc)
+
+
+@st.composite
+def long_number_argv(draw):
+    """argv for a command that reads a document, with small counts and --eps long or not."""
+    command = draw(st.sampled_from(["eval", "convergents", "certify", "check"]))
+    argv = [command]
+    if command == "eval":
+        argv += ["--eps", draw(st.one_of(LONG_RATIONAL, RATIONAL))]
+        argv += ["--max-steps", draw(SMALL_COUNT)]
+    if command in ("convergents", "certify"):
+        argv += ["-n", draw(SMALL_COUNT)]
+    if command != "check" and draw(st.booleans()):
+        argv.append("--repeat")
+    if command in ("eval", "convergents") and draw(st.booleans()):
+        argv += ["--decimals", draw(SMALL_COUNT)]
+    return argv
+
+
+@settings(deadline=2000, max_examples=200)
+@given(argv=long_number_argv(), stdin=long_number_document())
+@example(argv=["convergents", "-n", "1"], stdin=LONG_DOC)  # see test_output_too_large_answer
+def test_cli_is_total_at_the_digit_limit(argv, stdin):
+    """test_cli_is_total's property on numbers of about as many digits as
+    Python converts, where inputs fail to parse and results fail to print."""
+    test_cli_is_total.hypothesis.inner_test(argv, stdin)
+
+
+def test_output_too_large_answer(monkeypatch, capsys):
+    code, out = run_cli(monkeypatch, capsys, ["convergents", "-n", "1"], stdin=LONG_DOC)
+    detail = f"a number in the result has over {sys.get_int_max_str_digits()} digits"
+    assert code == 1
+    assert json.loads(out) == {"error": "output too large",
+                               "detail": detail + " (PYTHONINTMAXSTRDIGITS)"}

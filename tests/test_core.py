@@ -92,16 +92,6 @@ class TestValidate:
         cf = SemiRegularCF.from_pairs(0, [(1, 1)])
         assert validate(cf).valid
 
-    def test_upto_limits_scan_but_successor_still_counts(self):
-        cf = SemiRegularCF.from_pairs(0, [(1, 1), (-1, 2)])
-        assert not validate(cf, upto=1).valid
-        cf2 = SemiRegularCF.from_pairs(0, [(1, 2), (1, Fraction(1, 2))])
-        assert validate(cf2, upto=1).valid
-
-    def test_upto_beyond_length(self):
-        with pytest.raises(InsufficientTerms):
-            validate(golden(3), upto=4)
-
 
 class TestPeriodic:
     def test_terms_repeat_the_period(self):
@@ -166,8 +156,7 @@ def test_periodic_matches_eager_unroll(b0, period):
         eager = SemiRegularCF.from_pairs(b0, [period[i % p] for i in range(horizon)])
         assert lazy == eager and eager == lazy
         assert hash(lazy) == hash(eager)
-        for upto in range(horizon + 1):
-            assert validate(lazy, upto) == validate(eager, upto)
+        assert validate(lazy) == validate(eager)
 
 
 class TestRecurrence:

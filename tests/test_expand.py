@@ -175,8 +175,6 @@ class TestRandomTietze:
         with pytest.raises(ValueError):
             RandomSpec(seed=1, length=0)
         with pytest.raises(ValueError):
-            RandomSpec(seed=1, length=5, b_max=Fraction(3, 2))
-        with pytest.raises(ValueError):
             RandomSpec(seed=-1, length=5)
         with pytest.raises(ValueError):
             RandomSpec(seed=1, length=5, minus_probability=2)

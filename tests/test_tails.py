@@ -29,7 +29,6 @@ from semicf import (
     state_at,
     tail,
     uniform_step_bound,
-    validate,
 )
 from semicf.errors import InsufficientTerms
 
@@ -270,7 +269,6 @@ INDEX_CALLS = {
     "convergent": convergent,
     "series_partial_sum": series_partial_sum,
     "iter_states": lambda cf, i: list(iter_states(cf, i)),
-    "validate": lambda cf, i: validate(cf, upto=i),
     "prefix": lambda cf, i: cf.prefix(i),
     "anchor_index": anchor_index,
     "certify": certify,
