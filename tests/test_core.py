@@ -92,6 +92,13 @@ class TestValidate:
         cf = SemiRegularCF.from_pairs(0, [(1, 1)])
         assert validate(cf).valid
 
+    def test_successor_counts_and_final_term_needs_b_at_least_one(self):
+        # the gap at n reads a_{n+1}; the final term skips only the gap condition
+        report = validate(SemiRegularCF.from_pairs(0, [(1, 1), (-1, 2)]))
+        assert (report.first_violation.index, report.first_violation.reason) == (1, GAP_VIOLATION)
+        report = validate(SemiRegularCF.from_pairs(0, [(1, 2), (1, Fraction(1, 2))]))
+        assert (report.first_violation.index, report.first_violation.reason) == (2, B_TOO_SMALL)
+
 
 class TestPeriodic:
     def test_terms_repeat_the_period(self):
