@@ -260,15 +260,17 @@ def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
             if not ok:
                 first[name] = index
 
-    total = cf.b0
+    num, r, prev = cf.b0.numerator, 0, None  # the series sum is num / s.Q_cur
     for s in core.iter_states(cf):
         n, c = s.n, s.value
         if n:
-            total += core.series_term(s)
+            num, r = core._series_step(s, prev, num)
         run("lemma1", n,
             lambda: s.q_cur >= 1 and (n == len(cf) or core.gap(s, cf.a(n + 1)) >= 1))
         run("determinant", n, lambda: n == 0 or core.determinant_check(s) in (1, -1))
-        run("series_equivalence", n, lambda: total == c == oracle.fold_eval(cf, n))
+        run("series_equivalence", n,
+            lambda: not r and Fraction(num, s.Q_cur) == c == oracle.fold_eval(cf, n))
+        prev = s
     for end in range(1, min(len(cf), CHECK_TAIL_HORIZON) + 1):
         deep = core.convergent(cf, end)
         for n in range(end):

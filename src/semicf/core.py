@@ -9,8 +9,9 @@ sequence is well defined and the sequence of convergents converges.
 
 All arithmetic is exact.  The recurrence runs on plain ints with no gcd: a
 ConvergentState holds p_{n-1}, p_n, q_{n-1}, q_n times one common scale, the
-product of the denominators of b0, b_1, ..., b_n.  Values cross the API as
-reduced `fractions.Fraction`s, so equality of results is canonical-form
+product of the denominators of b0, b_1, ..., b_n; the series partial sum is
+an integer over that scaled q_n.  Values cross the API as reduced
+`fractions.Fraction`s, so equality of results is canonical-form
 equality.  All types are immutable; operations return new values.
 """
 
@@ -19,7 +20,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from .errors import IdentityViolation, InsufficientTerms
@@ -297,26 +297,28 @@ def determinant_check(s: ConvergentState) -> int:
     return s.det
 
 
+def _series_step(s: ConvergentState, prev: ConvergentState, num: int) -> Tuple[int, int]:
+    """divmod of N_n = S_n * s.Q_cur, the series sum S_n held over the scaled q_n,
+    from num = N_{n-1} (N_0 is b0's numerator).  As s.Q_prev = v * prev.Q_cur for
+    b_n's denominator v, N_n = (num v Q_cur + det scale^2) / Q_prev; states that
+    obey the recurrence leave no remainder, since then N_n = scale * p_n."""
+    return divmod(num * (s.scale // prev.scale) * s.Q_cur + s.det * s.scale * s.scale,
+                  s.Q_prev)
+
+
 def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
     """b0 plus the telescoped series of convergent differences through n.
 
     Each term is (-1)^{k-1} a_1...a_k / (q_{k-1} q_k); the partial sum equals
-    convergent(cf, n) exactly.  The sum runs over integer pairs, added as
-    Knuth (TAOCP 4.5.1) adds fractions: two gcds with the denominators' gcd.
+    convergent(cf, n) exactly.  The sum is an integer over the scaled q_k, so a
+    term costs one exact division and no gcd; a remainder raises IdentityViolation.
     """
-    num, den = cf.b0.numerator, cf.b0.denominator
-    for s in _states_through(cf, _index(cf, n))[1:n + 1]:
-        t_num, t_den = s.det * s.scale * s.scale, s.Q_prev * s.Q_cur
-        g = gcd(den, t_den)
-        num = num * (t_den // g) + t_num * (den // g)
-        g2 = gcd(num, g)
-        num, den = num // g2, den // g * (t_den // g2)
-    return Fraction(num, den)
-
-
-def series_term(s: ConvergentState) -> Fraction:
-    """The n-th series term (-1)^{n-1} a_1...a_n / (q_{n-1} q_n), for n >= 1."""
-    return Fraction(s.det * s.scale * s.scale, s.Q_prev * s.Q_cur)
+    states, num = _states_through(cf, _index(cf, n)), cf.b0.numerator
+    for prev, s in zip(states[:n], states[1:n + 1]):
+        num, r = _series_step(s, prev, num)
+        if r:
+            raise IdentityViolation(f"series term {s.n} leaves remainder {r}")
+    return Fraction(num, states[n].Q_cur)
 
 
 def gap(s: ConvergentState, a_next: int) -> Fraction:

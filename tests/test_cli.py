@@ -324,11 +324,13 @@ INJECTED_FAULTS = [
      lambda real, cf, n, k: tails.TailValue(n, k, -real(cf, n, k).value)),
     ("shift_identity", "tails", "shift_check", 7, _raise),
     ("error_bounds", "tails", "error_bound", 8, lambda real, cf, n, k: Fraction(2)),
+    ("series_equivalence", "core", "_series_step", 4,
+     lambda real, s, prev, num: (real(s, prev, num)[0], 1)),
 ]
 
 
 @pytest.mark.parametrize(
-    "check, module, func, index, bad", INJECTED_FAULTS, ids=[f[0] for f in INJECTED_FAULTS]
+    "check, module, func, index, bad", INJECTED_FAULTS, ids=[*cli.CHECKS, "series_step"]
 )
 def test_check_reports_each_failure_on_its_own(monkeypatch, capsys, check, module, func,
                                                 index, bad):
@@ -343,7 +345,7 @@ def test_check_reports_each_failure_on_its_own(monkeypatch, capsys, check, modul
     code, out = run_cli(monkeypatch, capsys, ["check"], stdin=CHECK_DOC)
     assert code == 1
     doc = json.loads(out)
-    assert [c["name"] for c in doc["checks"]] == [f[0] for f in INJECTED_FAULTS]
+    assert [c["name"] for c in doc["checks"]] == list(cli.CHECKS)
     for c in doc["checks"]:
         expected = index if c["name"] == check else None
         assert (c["pass"], c["first_failure"]) == (expected is None, expected), c["name"]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import sys
 import threading
@@ -27,7 +28,7 @@ from semicf import (
     step,
     validate,
 )
-from semicf.errors import InsufficientTerms
+from semicf.errors import IdentityViolation, InsufficientTerms
 
 from conftest import all_minus_two, golden
 
@@ -243,6 +244,53 @@ class TestSeries:
 
     def test_all_minus_n2(self):
         assert series_partial_sum(all_minus_two(5), 2) == Fraction(4, 3)
+
+    def test_memo_state_off_by_one_raises(self):
+        cf = golden(5)
+        state_at(cf, 5)
+        cf._states[3] = dataclasses.replace(cf._states[3], Q_cur=cf._states[3].Q_cur + 1)
+        assert series_partial_sum(cf, 2) == Fraction(3, 2)
+        with pytest.raises(IdentityViolation, match="^series term 3 leaves remainder 1$"):
+            series_partial_sum(cf, 3)
+        with pytest.raises(IdentityViolation, match="^series term 3 "):
+            series_partial_sum(cf, 5)
+
+    def test_invalid_sequence_with_q2_zero(self):
+        # b_1 = 1/2 breaks b >= 1, and q_2 = 2 * (1/2) - 1 = 0
+        cf = SemiRegularCF.from_pairs(0, [(1, "1/2"), (-1, 2), (1, 3), (1, 1)])
+        assert [series_partial_sum(cf, n) for n in (0, 1)] == [0, 2]
+        for n in (2, 3, 4):
+            with pytest.raises(ZeroDivisionError):
+                series_partial_sum(cf, n)
+
+
+def _gap_fixed(pairs):
+    """pairs with b_n raised by 1 wherever a_{n+1} (cyclically) is -1 and b_n < 2."""
+    return [(a, b + 1 if pairs[(i + 1) % len(pairs)][0] == -1 and b < 2 else b)
+            for i, (a, b) in enumerate(pairs)]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    b0=st.fractions(-5, 5, max_denominator=7),
+    pairs=st.lists(
+        st.tuples(st.sampled_from([1, -1]),
+                  st.integers(1, 4) | st.fractions(1, 4, max_denominator=6)),
+        min_size=1, max_size=10,
+    ),
+    length=st.none() | st.integers(0, 25),
+)
+@example(b0=Fraction(7, 3), pairs=[(1, Fraction(5, 2)), (-1, 3), (1, Fraction(7, 3))],
+         length=None)
+@example(b0=Fraction(-1, 2), pairs=[(-1, Fraction(5, 2)), (1, Fraction(7, 3))], length=12)
+def test_series_equals_fold_and_convergent_at_every_index(b0, pairs, length):
+    """length None is a tuple sequence; otherwise the pairs repeat as a period."""
+    pairs = _gap_fixed(pairs)
+    cf = (SemiRegularCF.from_pairs(b0, pairs) if length is None
+          else SemiRegularCF.periodic(b0, pairs, length))
+    assert validate(cf).valid
+    for n in range(len(cf) + 1):
+        assert series_partial_sum(cf, n) == fold_eval(cf, n) == convergent(cf, n)
 
 
 class TestGap:
