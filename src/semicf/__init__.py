@@ -33,9 +33,7 @@ from .errors import (
     ZeroDenominator,
 )
 from .expand import (
-    ExpansionAlgo,
     RandomSpec,
-    expand,
     nearest_int_expand,
     negative_expand,
     random_tietze,

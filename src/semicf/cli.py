@@ -32,7 +32,7 @@ from .errors import (
     IdentityViolation,
     ParseError,
 )
-from .expand import ExpansionAlgo, _euclid
+from .expand import _ROUND, _euclid
 
 _RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -177,7 +177,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
     except ParseError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    b0, *pairs = itertools.islice(_euclid(x, ExpansionAlgo(args.algo)), EXPAND_MAX_TERMS + 2)
+    b0, *pairs = itertools.islice(_euclid(x, args.algo), EXPAND_MAX_TERMS + 2)
     if len(pairs) > EXPAND_MAX_TERMS:
         raise _too_large(f"the expansion has over {EXPAND_MAX_TERMS} terms")
     sys.stdout.write(serialize_cf(SemiRegularCF.from_pairs(b0, pairs)) + "\n")
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("expand", help="expand a rational into a continued fraction")
-    p.add_argument("--algo", choices=[a.value for a in ExpansionAlgo], required=True)
+    p.add_argument("--algo", choices=list(_ROUND), required=True)
     p.add_argument("value", help="rational to expand, e.g. 7/3")
     p.set_defaults(func=_cmd_expand)
 

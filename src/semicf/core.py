@@ -163,8 +163,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    valid: bool
     first_violation: Optional[Violation] = None
+
+    valid = property(lambda r: r.first_violation is None)
 
 
 def validate(cf: SemiRegularCF) -> ValidationReport:
@@ -181,8 +182,8 @@ def validate(cf: SemiRegularCF) -> ValidationReport:
     for n in range(1, scan + 1):
         reason = _tietze_violation(cf.b(n), cf.a(n + 1) if n < available else None)
         if reason:
-            return ValidationReport(False, Violation(n, reason))
-    return ValidationReport(True, None)
+            return ValidationReport(Violation(n, reason))
+    return ValidationReport()
 
 
 def _tietze_violation(b: Fraction, a_next: Optional[int]) -> Optional[str]:
@@ -201,8 +202,9 @@ class ConvergentState:
     """Sliding window of the convergent recurrence, held as integers.
 
     (P_prev, P_cur, Q_prev, Q_cur) are scale * (p_{n-1}, p_n, q_{n-1}, q_n)
-    with scale > 0, and det_product is the running product of the numerator
-    signs a_1..a_n (+1 at n = 0).  The Fraction fields are built when read.
+    with scale > 0, and det is the sign (-1)^{n-1} a_1...a_n, which
+    p_n q_{n-1} - p_{n-1} q_n equals (-1 at n = 0).  The Fraction fields are
+    built when read.
     """
 
     n: int
@@ -211,14 +213,12 @@ class ConvergentState:
     Q_prev: int
     Q_cur: int
     scale: int
-    det_product: int = 1
+    det: int
 
     p_prev = property(lambda s: Fraction(s.P_prev, s.scale))
     p_cur = property(lambda s: Fraction(s.P_cur, s.scale))
     q_prev = property(lambda s: Fraction(s.Q_prev, s.scale))
     q_cur = property(lambda s: Fraction(s.Q_cur, s.scale))
-    # (-1)^{n-1} a_1...a_n, which p_n q_{n-1} - p_{n-1} q_n equals
-    det = property(lambda s: s.det_product if s.n % 2 == 1 else -s.det_product)
 
     @property
     def value(self) -> Fraction:
@@ -229,7 +229,7 @@ class ConvergentState:
 def init_state(b0: RationalLike) -> ConvergentState:
     """The n = 0 window: p_{-1}=1, p_0=b0, q_{-1}=0, q_0=1."""
     u, v = Fraction(b0).as_integer_ratio()
-    return ConvergentState(0, v, u, 0, v, v)
+    return ConvergentState(0, v, u, 0, v, v, -1)
 
 
 def step(s: ConvergentState, t: Term) -> ConvergentState:
@@ -242,11 +242,11 @@ def step(s: ConvergentState, t: Term) -> ConvergentState:
     if v == 1:  # the new window shares P_cur and Q_cur with s instead of copying them
         return ConvergentState(s.n + 1, s.P_cur, u * s.P_cur + t.a * s.P_prev,
                                s.Q_cur, u * s.Q_cur + t.a * s.Q_prev,
-                               s.scale, s.det_product * t.a)
+                               s.scale, -s.det * t.a)
     av = t.a * v
     return ConvergentState(s.n + 1, v * s.P_cur, u * s.P_cur + av * s.P_prev,
                            v * s.Q_cur, u * s.Q_cur + av * s.Q_prev,
-                           s.scale * v, s.det_product * t.a)
+                           s.scale * v, -s.det * t.a)
 
 
 def iter_states(cf: SemiRegularCF, upto: Optional[int] = None) -> Iterator[ConvergentState]:

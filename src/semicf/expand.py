@@ -7,7 +7,6 @@ output validates and folds back to its input exactly.
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,34 +20,25 @@ _DENOM_BOUND = 12
 #: Upper bound of b0 and of every partial denominator that random_tietze draws.
 _B_MAX = 8
 
-
-class ExpansionAlgo(enum.Enum):
-    REGULAR = "regular"
-    NEGATIVE = "negative"
-    NEAREST_INTEGER = "nearest"
-
-
-#: How each algorithm picks the integer part c of u/v, for v > 0: the floor,
-#: the ceiling, or the nearest integer with ties away from zero.
-_ROUND: Dict[ExpansionAlgo, Callable[[int, int], int]] = {
-    ExpansionAlgo.REGULAR: lambda u, v: u // v,
-    ExpansionAlgo.NEGATIVE: lambda u, v: -(-u // v),
-    ExpansionAlgo.NEAREST_INTEGER: lambda u, v: (
+#: How each algorithm, by its CLI name, picks the integer part c of u/v, for
+#: v > 0: the floor, the ceiling, or the nearest integer with ties away from zero.
+_ROUND: Dict[str, Callable[[int, int], int]] = {
+    "regular": lambda u, v: u // v,
+    "negative": lambda u, v: -(-u // v),
+    "nearest": lambda u, v: (
         (2 * u + v) // (2 * v) if u >= 0 else -((v - 2 * u) // (2 * v))
     ),
 }
 
 
-def _euclid(x: RationalLike, algo: ExpansionAlgo) -> Iterator[Union[int, Tuple[int, int]]]:
-    """Yield b0 and then each term (a, b) of the expansion of x under algo.
+def _euclid(x: RationalLike, algo: str) -> Iterator[Union[int, Tuple[int, int]]]:
+    """Yield b0 and then each term (a, b) of the expansion of x under _ROUND[algo].
 
     One integer Euclid loop serves all three algorithms.  The complete
     quotient u/v (v > 0) is split as c + r with c chosen by the algorithm's
     rounding rule; while r != 0 the next term has numerator sign(r) and the
     loop continues with 1/|r|.
     """
-    if not isinstance(algo, ExpansionAlgo):
-        raise ValueError(f"unknown expansion algorithm {algo!r}")
     rule = _ROUND[algo]
     x = Fraction(x)
     u, v = x.numerator, x.denominator
@@ -63,7 +53,7 @@ def _euclid(x: RationalLike, algo: ExpansionAlgo) -> Iterator[Union[int, Tuple[i
         u -= c * v
 
 
-def expand(x: RationalLike, algo: ExpansionAlgo) -> SemiRegularCF:
+def _expand(x: RationalLike, algo: str) -> SemiRegularCF:
     """The finite expansion of x under algo; it validates and folds back to x."""
     b0, *pairs = _euclid(x, algo)
     return SemiRegularCF.from_pairs(b0, pairs)
@@ -71,7 +61,7 @@ def expand(x: RationalLike, algo: ExpansionAlgo) -> SemiRegularCF:
 
 def regular_expand(x: RationalLike) -> SemiRegularCF:
     """Euclidean expansion: all numerators +1, integer denominators >= 1."""
-    return expand(x, ExpansionAlgo.REGULAR)
+    return _expand(x, "regular")
 
 
 def negative_expand(x: RationalLike) -> SemiRegularCF:
@@ -80,7 +70,7 @@ def negative_expand(x: RationalLike) -> SemiRegularCF:
     Integers expand to no terms (the minimal form) rather than a trailing
     chain of 2s.
     """
-    return expand(x, ExpansionAlgo.NEGATIVE)
+    return _expand(x, "negative")
 
 
 def nearest_int_expand(x: RationalLike) -> SemiRegularCF:
@@ -89,7 +79,7 @@ def nearest_int_expand(x: RationalLike) -> SemiRegularCF:
     Ties at half-integers round away from zero, so the remainder becomes -1/2
     and the next denominator stays >= 2; outputs are reproducible.
     """
-    return expand(x, ExpansionAlgo.NEAREST_INTEGER)
+    return _expand(x, "nearest")
 
 
 @dataclass(frozen=True)

@@ -64,7 +64,8 @@ class ErrorCertificate:
     n: int
     anchor: Optional[int]
     bound: Fraction
-    regime: str
+
+    regime = property(lambda c: ALL_MINUS_TAIL if c.anchor is None else PLUS_ANCHOR)
 
 
 @dataclass(frozen=True)
@@ -72,7 +73,9 @@ class EvalResult:
     approximation: Fraction
     certified_error: Fraction
     steps_used: int
-    exact: bool
+
+    # Only a finite end has error 0: every uniform bound is positive.
+    exact = property(lambda r: r.certified_error == 0)
 
 
 def _tail_pair(cf: SemiRegularCF, n: int, k: int) -> Tuple[int, int]:
@@ -195,10 +198,9 @@ def certify(cf: SemiRegularCF, n: int) -> ErrorCertificate:
         if s_n.n == m:
             s_m = s_n
     if s_m is None:
-        return ErrorCertificate(
-            n, None, Fraction(*_uniform_bound(s_n, cf.a(n + 1))), ALL_MINUS_TAIL)
+        return ErrorCertificate(n, None, Fraction(*_uniform_bound(s_n, cf.a(n + 1))))
     bound = abs(s_n.value - s_m.value) + Fraction(*_uniform_bound(s_m, 1))
-    return ErrorCertificate(n, m, bound, PLUS_ANCHOR)
+    return ErrorCertificate(n, m, bound)
 
 
 def evaluate(
@@ -228,10 +230,10 @@ def evaluate(
         if reason:
             raise TietzeViolation(f"{reason} at index {n} (b_{n} = {cf.b(n)})")
         if a_next is None:
-            return EvalResult(s.value, Fraction(0), n, True)
+            return EvalResult(s.value, Fraction(0), n)
         num, den = _uniform_bound(s, a_next)
         if num * eps.denominator <= eps.numerator * den:
-            return EvalResult(s.value, Fraction(num, den), n, False)
+            return EvalResult(s.value, Fraction(num, den), n)
         if best is None or num * best[1] < best[0] * den:
             best = (num, den)
     raise BudgetExhausted(max_steps, Fraction(*best))

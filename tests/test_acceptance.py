@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from semicf import (
-    ExpansionAlgo,
     RandomSpec,
     SemiRegularCF,
     anchor_index,
@@ -22,11 +21,13 @@ from semicf import (
     determinant_check,
     error_bound,
     evaluate,
-    expand,
     fold_eval,
     gap,
     iter_states,
+    nearest_int_expand,
+    negative_expand,
     random_tietze,
+    regular_expand,
     series_partial_sum,
     shift_check,
     state_at,
@@ -152,8 +153,8 @@ def test_criterion_7_expansion_round_trips():
     for _ in range(count):
         x = Fraction(rng.randint(-(10**6) + 1, 10**6 - 1),
                      rng.randint(1, 10**6 - 1))
-        for algo in ExpansionAlgo:
-            cf = expand(x, algo)
+        for expansion in (regular_expand, negative_expand, nearest_int_expand):
+            cf = expansion(x)
             assert validate(cf).valid
             assert fold_eval(cf) == x
     print(f"PASS  7. all three expansions Tietze-valid and exact on {count} "

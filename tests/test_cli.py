@@ -117,9 +117,9 @@ class TestExpandCommand:
         code, _ = run_cli(monkeypatch, capsys, ["expand", "--algo", "regular", "1.5"])
         assert code == 2
 
-    def test_bad_algo_is_usage_error(self, monkeypatch, capsys):
-        code, _ = run_cli(monkeypatch, capsys, ["expand", "--algo", "x", "1"])
-        assert code == 2
+    def test_bad_algo_is_usage_error(self, capsys):
+        assert main(["expand", "--algo", "x", "1"]) == 2
+        assert "choose from 'regular', 'negative', 'nearest'" in capsys.readouterr().err
 
 
 class TestEvalCommand:

@@ -171,7 +171,7 @@ class TestRecurrence:
     def test_init_state(self):
         s = init_state(1)
         assert (s.p_prev, s.p_cur, s.q_prev, s.q_cur) == (1, 1, 0, 1)
-        assert s.det_product == 1
+        assert s.det == -1
         s = init_state(Fraction(7, 3))
         assert s.p_cur == Fraction(7, 3)
         assert init_state(0).p_cur == 0
@@ -347,10 +347,13 @@ def test_random_sequences_satisfy_exact_identities(
         )
     )
     assert validate(cf).valid
+    prev = None
     for s in iter_states(cf):
         assert s.q_cur >= 1
         if s.n >= 1:
+            assert s.det == -prev.det * cf.a(s.n)
             determinant_check(s)
+        prev = s
         if s.n < length:
             assert gap(s, cf.a(s.n + 1)) >= 1
     assert series_partial_sum(cf, length) == convergent(cf, length)
@@ -406,6 +409,8 @@ def test_checked_stepping_stops_where_validate_reports(b0, pairs):
     if report.valid:
         result = evaluate(cf, TINY, max_steps=len(cf) + 1)
         assert result.exact and result.steps_used == len(cf)
+        for result in (result, evaluate(cf, 1, max_steps=len(cf) + 1)):
+            assert result.exact == (result.certified_error == 0)
     else:
         v = report.first_violation
         with pytest.raises(TietzeViolation, match=f"^{v.reason} at index {v.index} "):

@@ -1,15 +1,15 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import semicf
 from semicf import (
-    ExpansionAlgo,
     RandomSpec,
     SemiRegularCF,
-    expand,
     fold_eval,
     iter_states,
     nearest_int_expand,
@@ -22,6 +22,7 @@ from semicf import (
 rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=999
 )
+EXPANSIONS = st.sampled_from([regular_expand, negative_expand, nearest_int_expand])
 
 
 def pairs(cf):
@@ -92,18 +93,18 @@ class TestNearestInteger:
 
 
 @settings(deadline=None, max_examples=150)
-@given(x=rationals, algo=st.sampled_from(list(ExpansionAlgo)))
+@given(x=rationals, algo=EXPANSIONS)
 def test_round_trip_and_validity(x, algo):
-    cf = expand(x, algo)
+    cf = algo(x)
     assert validate(cf).valid
     assert fold_eval(cf) == x
 
 
 def _rounded(algo, x):
     """The integer part each algorithm takes of a complete quotient x."""
-    if algo is ExpansionAlgo.REGULAR:
+    if algo is regular_expand:
         return math.floor(x)
-    if algo is ExpansionAlgo.NEGATIVE:
+    if algo is negative_expand:
         return math.ceil(x)
     half = Fraction(1, 2)  # nearest, ties away from zero
     return math.floor(x + half) if x >= 0 else -math.floor(half - x)
@@ -111,26 +112,26 @@ def _rounded(algo, x):
 
 def _numerator(algo, remainder):
     """The numerator each algorithm writes after a nonzero remainder."""
-    if algo is ExpansionAlgo.REGULAR:
+    if algo is regular_expand:
         return 1
-    if algo is ExpansionAlgo.NEGATIVE:
+    if algo is negative_expand:
         return -1
     return 1 if remainder > 0 else -1
 
 
 @settings(deadline=None, max_examples=150)
-@given(x=rationals, algo=st.sampled_from(list(ExpansionAlgo)))
-@example(x=Fraction(5, 2), algo=ExpansionAlgo.NEAREST_INTEGER)
-@example(x=Fraction(-5, 2), algo=ExpansionAlgo.NEAREST_INTEGER)
-@example(x=Fraction(-1, 2), algo=ExpansionAlgo.NEAREST_INTEGER)
-@example(x=Fraction(7, 5), algo=ExpansionAlgo.NEAREST_INTEGER)  # the tail 5/2 is a tie
-@example(x=Fraction(-7, 5), algo=ExpansionAlgo.NEAREST_INTEGER)
-@example(x=Fraction(-3, 2), algo=ExpansionAlgo.REGULAR)
-@example(x=Fraction(-3, 2), algo=ExpansionAlgo.NEGATIVE)
-@example(x=Fraction(-355, 113), algo=ExpansionAlgo.REGULAR)
-@example(x=Fraction(-355, 113), algo=ExpansionAlgo.NEGATIVE)
+@given(x=rationals, algo=EXPANSIONS)
+@example(x=Fraction(5, 2), algo=nearest_int_expand)
+@example(x=Fraction(-5, 2), algo=nearest_int_expand)
+@example(x=Fraction(-1, 2), algo=nearest_int_expand)
+@example(x=Fraction(7, 5), algo=nearest_int_expand)  # the tail 5/2 is a tie
+@example(x=Fraction(-7, 5), algo=nearest_int_expand)
+@example(x=Fraction(-3, 2), algo=regular_expand)
+@example(x=Fraction(-3, 2), algo=negative_expand)
+@example(x=Fraction(-355, 113), algo=regular_expand)
+@example(x=Fraction(-355, 113), algo=negative_expand)
 def test_each_denominator_is_the_rounded_complete_quotient(x, algo):
-    cf = expand(x, algo)
+    cf = algo(x)
     assert fold_eval(cf) == x
     for n in range(len(cf) + 1):
         b = cf.b0 if n == 0 else cf.terms[n - 1].b
@@ -140,10 +141,11 @@ def test_each_denominator_is_the_rounded_complete_quotient(x, algo):
             assert cf.terms[n].a == _numerator(algo, quotient - b)
 
 
-def test_algorithm_must_be_an_expansion_algo():
-    with pytest.raises(ValueError, match="unknown expansion algorithm 'regular'"):
-        expand(Fraction(7, 3), "regular")
-    assert expand(Fraction(7, 3), ExpansionAlgo("regular")) == regular_expand(Fraction(7, 3))
+def test_semicf_expand_is_the_module():
+    import semicf.expand as m
+
+    assert m.random_tietze is random_tietze and m.regular_expand is regular_expand
+    assert m is sys.modules["semicf.expand"] is semicf.expand
 
 
 class TestRandomTietze:

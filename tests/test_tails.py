@@ -180,7 +180,9 @@ class TestCertify:
             cf = corpus_cf(seed)
             horizon = min(len(cf), 20)
             for base in range(horizon - 1):
-                bound = certify(cf, base).bound
+                cert = certify(cf, base)
+                assert cert.regime == (ALL_MINUS_TAIL if cert.anchor is None else PLUS_ANCHOR)
+                bound = cert.bound
                 values = [convergent(cf, j) for j in range(base, horizon + 1)]
                 for i, vi in enumerate(values):
                     for vj in values[i + 1:]:
