@@ -45,8 +45,9 @@ class Term:
     def __post_init__(self) -> None:
         if type(self.a) is not int or self.a not in (1, -1):  # not True, not 1.0
             raise ValueError(f"numerator sign must be +1 or -1, got {self.a!r}")
-        object.__setattr__(self, "b", Fraction(self.b))
-        if self.b <= 0:
+        if type(self.b) is not Fraction:  # a Fraction is kept; a subclass is converted
+            object.__setattr__(self, "b", Fraction(self.b))
+        if self.b.numerator <= 0:
             raise ValueError(f"partial denominator must be positive, got {self.b}")
 
 
@@ -101,7 +102,8 @@ class SemiRegularCF:
     _sweep: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "b0", Fraction(self.b0))
+        if type(self.b0) is not Fraction:
+            object.__setattr__(self, "b0", Fraction(self.b0))
         if not isinstance(self.terms, PeriodicTerms):
             object.__setattr__(self, "terms", tuple(self.terms))
         object.__setattr__(self, "_states", [init_state(self.b0)])
@@ -110,7 +112,7 @@ class SemiRegularCF:
     def from_pairs(
         cls, b0: RationalLike, pairs: Iterable[Tuple[int, RationalLike]]
     ) -> "SemiRegularCF":
-        return cls(Fraction(b0), tuple(Term(a, Fraction(b)) for a, b in pairs))
+        return cls(b0, tuple(Term(a, b) for a, b in pairs))
 
     @classmethod
     def periodic(
@@ -121,12 +123,12 @@ class SemiRegularCF:
     ) -> "SemiRegularCF":
         """The first `length` terms of the repeated period; term n is
         pairs[(n - 1) % len(pairs)].  Nothing is unrolled up front."""
-        period = tuple(Term(a, Fraction(b)) for a, b in pairs)
+        period = tuple(Term(a, b) for a, b in pairs)
         if not period:
             raise ValueError("periodic continuation needs a nonempty period")
         if length < 0:
             raise ValueError("length must be nonnegative")
-        return cls(Fraction(b0), PeriodicTerms(period, length))
+        return cls(b0, PeriodicTerms(period, length))
 
     def __len__(self) -> int:
         return len(self.terms)

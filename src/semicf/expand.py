@@ -113,13 +113,15 @@ def random_tietze(spec: RandomSpec) -> SemiRegularCF:
 
     Numerator signs are drawn first; b0 is drawn from [0, 8], and each b_n
     from [2, 8] when the next numerator is -1 and from [1, 8] otherwise, so
-    validity holds by construction.
+    validity holds by construction.  A sign is -1 when random() < u/v for
+    minus_probability = u/v.  random() is k / 2**53 for an integer k, and
+    T / 2**53 with T = ceil(u 2**53 / v) <= 2**53 is an exact float, so the
+    float test random() < T / 2**53 is k < T, which is k / 2**53 < u/v exactly.
     """
     rng = random.Random(spec.seed)
-    signs = [
-        -1 if rng.random() < spec.minus_probability else 1
-        for _ in range(spec.length)
-    ]
+    u, v = spec.minus_probability.as_integer_ratio()
+    threshold = -(-u * 2**53 // v) / 2**53
+    signs = [-1 if rng.random() < threshold else 1 for _ in range(spec.length)]
     b0 = _draw_rational(rng, 0, spec.integer_only)
     terms = []
     for i in range(spec.length):

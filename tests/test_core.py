@@ -36,6 +36,10 @@ from conftest import all_minus_two, golden
 TINY = Fraction(1, 10**100)
 
 
+class _Sub(Fraction):
+    pass
+
+
 class TestTerm:
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError):
@@ -48,6 +52,18 @@ class TestTerm:
     def test_rejects_nonpositive_denominator(self):
         with pytest.raises(ValueError):
             Term(1, Fraction(0))
+        for b, shown in ((Fraction(0), "0"), (Fraction(-1, 2), "-1/2"), ("-3", "-3"), (0, "0")):
+            message = f"^partial denominator must be positive, got {shown}$"
+            with pytest.raises(ValueError, match=message):
+                Term(1, b)
+
+    def test_keeps_a_fraction_and_converts_anything_else(self):
+        f = Fraction(7, 3)
+        assert Term(1, f).b is f
+        assert SemiRegularCF(f, ()).b0 is f
+        for b in (2, "7/3", _Sub(7, 3)):
+            assert type(Term(1, b).b) is Fraction and Term(1, b).b == Fraction(b)
+            assert type(SemiRegularCF(b, ()).b0) is Fraction
 
     def test_below_one_is_representable(self):
         # validation reports b < 1 as data, so construction must allow it

@@ -1,6 +1,8 @@
 import math
+import random
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,9 @@ rationals = st.fractions(
     min_value=-1000, max_value=1000, max_denominator=999
 )
 EXPANSIONS = st.sampled_from([regular_expand, negative_expand, nearest_int_expand])
+
+#: Below the spacing 2**-53 of random()'s values, and of floats in [1/2, 1).
+EPS_70 = Fraction(1, 2**70)
 
 
 def pairs(cf):
@@ -173,6 +178,28 @@ class TestRandomTietze:
             )
             assert validate(random_tietze(spec)).valid
 
+    @pytest.mark.parametrize("p", [Fraction(0), Fraction(1), Fraction(1, 3), Fraction(1, 7)] + [
+        Fraction(m, 2**53) + d for m in (3, 2**52 + 3) for d in (0, EPS_70, -EPS_70)
+    ])
+    def test_signs_are_exact_next_to_the_threshold(self, monkeypatch, p):
+        # random() gives k / 2**53; test k = T - 1, T, T + 1 for T = ceil(p 2**53).
+        # Seeded draws meet each of these k once in 2**53 draws.
+        threshold = math.ceil(p * 2**53)
+        ks = [k for k in (threshold - 1, threshold, threshold + 1) if 0 <= k < 2**53]
+        monkeypatch.setattr(semicf.expand, "random",
+                            SimpleNamespace(Random=lambda seed: _Draws(k / 2**53 for k in ks)))
+        spec = RandomSpec(seed=0, length=len(ks), minus_probability=p, integer_only=True)
+        signs = [t.a for t in random_tietze(spec).terms]
+        assert signs == [-1 if Fraction(k, 2**53) < p else 1 for k in ks]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+    def test_random_is_an_integer_over_two_to_the_53(self, seed):
+        # The premise of random_tietze's float threshold, on this Python.
+        rng = random.Random(seed)
+        for _ in range(10_000):
+            k = rng.random() * 2**53  # exact: a power-of-two scaling
+            assert k.is_integer() and 0 <= k < 2**53
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             RandomSpec(seed=1, length=0)
@@ -180,3 +207,17 @@ class TestRandomTietze:
             RandomSpec(seed=-1, length=5)
         with pytest.raises(ValueError):
             RandomSpec(seed=1, length=5, minus_probability=2)
+
+
+class _Draws:
+    """Stands in for random.Random: random() returns the given draws in order,
+    and randint(lo, hi) returns lo."""
+
+    def __init__(self, draws):
+        self.draws = iter(draws)
+
+    def random(self):
+        return next(self.draws)
+
+    def randint(self, lo, hi):
+        return lo
