@@ -174,7 +174,7 @@ def validate(cf: SemiRegularCF) -> ValidationReport:
     """Check b_n >= 1 and b_n + a_{n+1} >= 1 at every index.
 
     The final term is exempt from the gap condition, having no successor.
-    Violations are data, not errors.
+    Violations are data; evaluate and certify raise the first as TietzeViolation.
     """
     available = scan = len(cf)
     if isinstance(cf.terms, PeriodicTerms):
@@ -182,21 +182,12 @@ def validate(cf: SemiRegularCF) -> ValidationReport:
         # 1..p (the gap at p reads a_{p+1} = a_1) decide the whole sequence.
         scan = min(available, len(cf.terms.period))
     for n in range(1, scan + 1):
-        reason = _tietze_violation(cf.b(n), cf.a(n + 1) if n < available else None)
-        if reason:
-            return ValidationReport(Violation(n, reason))
+        u, v = cf.b(n).as_integer_ratio()  # v > 0, so b_n >= 1 is u >= v
+        if u < v:
+            return ValidationReport(Violation(n, B_TOO_SMALL))
+        if n < available and u + cf.a(n + 1) * v < v:
+            return ValidationReport(Violation(n, GAP_VIOLATION))
     return ValidationReport()
-
-
-def _tietze_violation(b: Fraction, a_next: Optional[int]) -> Optional[str]:
-    """The condition a term with denominator b breaks, if any: b >= 1, then the
-    gap b + a_next >= 1 (a_next is None for the last term, which is exempt)."""
-    u, v = b.numerator, b.denominator  # v > 0, so b >= 1 is u >= v
-    if u < v:
-        return B_TOO_SMALL
-    if a_next is not None and u + a_next * v < v:
-        return GAP_VIOLATION
-    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -238,7 +229,7 @@ def step(s: ConvergentState, t: Term) -> ConvergentState:
     """Advance the window by one term: p_new = b*p_n + a*p_{n-1}, same for q.
 
     For b = u/v the new window is (v*P_cur, u*P_cur + a*v*P_prev) over
-    scale*v, the same for Q.  The term is not checked; evaluate checks terms.
+    scale*v, the same for Q.  Unchecked: evaluate and certify validate first.
     """
     u, v = t.b.numerator, t.b.denominator
     if v == 1:  # the new window shares P_cur and Q_cur with s instead of copying them

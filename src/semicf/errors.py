@@ -8,7 +8,7 @@ class CFError(Exception):
 
 
 class TietzeViolation(CFError):
-    """evaluate() reached a term that breaks b >= 1 or b + a_next >= 1."""
+    """evaluate() or certify() was given a sequence that validate() rejects."""
 
 
 class InsufficientTerms(CFError):

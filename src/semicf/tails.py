@@ -15,6 +15,11 @@ a_{n+1} = -1 the tail lies in [-1, 0), so the denominator is at least
 q_n - q_{n-1}, which is itself at least 1 because q_n + a_{n+1} q_{n-1} >= 1
 holds for every valid sequence.  Either way the bound is valid for all
 deeper convergents simultaneously and needs only one term of lookahead.
+
+evaluate and certify validate the whole sequence first.  The per-index probes
+(tail, shift_check, error_bound, uniform_step_bound) assume a valid sequence
+and certify nothing on an invalid one: on 0; (+1, 2), (-1, 1/3) the uniform
+bound at n = 1 is 1/2, but the next convergent is 3/2 away.
 """
 
 from __future__ import annotations
@@ -29,9 +34,9 @@ from .core import (
     SemiRegularCF,
     _index,
     _states_through,
-    _tietze_violation,
     iter_states,
     state_at,
+    validate,
 )
 from .errors import (
     BudgetExhausted,
@@ -181,6 +186,13 @@ def anchor_index(cf: SemiRegularCF, n: int) -> Optional[int]:
     return None
 
 
+def _require_valid(cf: SemiRegularCF) -> None:
+    """Raise TietzeViolation at validate's first violation of cf, if any."""
+    v = validate(cf).first_violation
+    if v is not None:
+        raise TietzeViolation(f"{v.reason} at index {v.index} (b_{v.index} = {cf.b(v.index)})")
+
+
 def certify(cf: SemiRegularCF, n: int) -> ErrorCertificate:
     """An exact certificate on the distance from p_n/q_n to every deeper convergent.
 
@@ -188,9 +200,10 @@ def certify(cf: SemiRegularCF, n: int) -> ErrorCertificate:
     through p_m/q_m gives |p_n/q_n - p_m/q_m| plus the uniform bound at m,
     1/q_m^2 (it uses that all tails past the anchor are positive), at most
     2/q_m^2 when the first leg is itself at most 1/q_m^2.  Without an anchor
-    the uniform one-step bound applies directly.
+    the uniform one-step bound applies directly.  Validates cf first.
     """
     _index(cf, n + 1)  # a certificate at n needs term n + 1; anchor_index checks n >= 0
+    _require_valid(cf)
     m = anchor_index(cf, n)
     # One walk to n that keeps only the states at m and n, not the memo's 0..n.
     s_m = None
@@ -212,28 +225,23 @@ def evaluate(
 
     Returns the first convergent whose bound over all deeper convergents is
     at most eps.  A finite sequence consumed in full yields its exact value
-    with certified_error 0.  Convergence is guaranteed for valid unbounded
-    sequences but without an effective rate, so a step budget is mandatory;
-    exceeding it raises BudgetExhausted carrying the best bound seen.
+    with certified_error 0; an invalid cf raises TietzeViolation.  Valid
+    unbounded sequences converge without an effective rate, so a step budget
+    is mandatory; exceeding it raises BudgetExhausted carrying the best bound.
     """
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be > 0")
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
+    _require_valid(cf)
     best: Optional[Tuple[int, int]] = None
     for s in iter_states(cf, min(len(cf), max_steps)):
-        n = s.n
-        a_next = cf.a(n + 1) if n < len(cf) else None
-        # validate's rule and order: b_n >= 1, then the gap with a_{n+1}.
-        reason = n and _tietze_violation(cf.b(n), a_next)
-        if reason:
-            raise TietzeViolation(f"{reason} at index {n} (b_{n} = {cf.b(n)})")
-        if a_next is None:
-            return EvalResult(s.value, Fraction(0), n)
-        num, den = _uniform_bound(s, a_next)
+        if s.n == len(cf):
+            return EvalResult(s.value, Fraction(0), s.n)
+        num, den = _uniform_bound(s, cf.a(s.n + 1))
         if num * eps.denominator <= eps.numerator * den:
-            return EvalResult(s.value, Fraction(num, den), n)
+            return EvalResult(s.value, Fraction(num, den), s.n)
         if best is None or num * best[1] < best[0] * den:
             best = (num, den)
     raise BudgetExhausted(max_steps, Fraction(*best))

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -15,6 +16,7 @@ from semicf import (
     SemiRegularCF,
     Term,
     TietzeViolation,
+    certify,
     convergent,
     determinant_check,
     evaluate,
@@ -209,7 +211,7 @@ class TestRecurrence:
             assert s.q_cur == b
 
     def test_checked_step_raises(self):
-        # evaluate checks each term as it steps; the gap b_1 + a_2 = 0 stops it
+        # evaluate validates the whole sequence first; the gap b_1 + a_2 = 0 refuses it
         with pytest.raises(TietzeViolation):
             evaluate(SemiRegularCF.from_pairs(0, [(1, 1), (-1, 2)]), TINY)
         # step itself does not check, so experiments get through
@@ -418,8 +420,11 @@ def test_threads_sharing_a_sequence_extend_its_states_in_place():
     ),
 )
 @example(b0=0, pairs=[(1, 1), (-1, Fraction(1, 2))])  # gap at 1 and BTooSmall at 2
+@example(b0=0, pairs=[(1, 2), (-1, Fraction(1, 3))])  # the bound at 0 covers eps = 1
+@example(b0=0, pairs=[(1, 2), (-1, Fraction(1, 2)), (1, 1)])  # q_2 = 0: no p_2/q_2
 def test_checked_stepping_stops_where_validate_reports(b0, pairs):
-    """evaluate's checked stepping and validate apply one Tietze rule in one order."""
+    """evaluate and certify refuse an invalid sequence at validate's first
+    violation, whatever eps or n: validate is their one check of the rule."""
     cf = SemiRegularCF.from_pairs(b0, pairs)
     report = validate(cf)
     if report.valid:
@@ -429,5 +434,10 @@ def test_checked_stepping_stops_where_validate_reports(b0, pairs):
             assert result.exact == (result.certified_error == 0)
     else:
         v = report.first_violation
-        with pytest.raises(TietzeViolation, match=f"^{v.reason} at index {v.index} "):
-            evaluate(cf, TINY, max_steps=len(cf) + 1)
+        message = f"{v.reason} at index {v.index} (b_{v.index} = {cf.b(v.index)})"
+        for eps in (TINY, 1):
+            with pytest.raises(TietzeViolation, match=f"^{re.escape(message)}$"):
+                evaluate(cf, eps, max_steps=len(cf) + 1)
+        for n in range(len(cf)):
+            with pytest.raises(TietzeViolation, match=f"^{re.escape(message)}$"):
+                certify(cf, n)
