@@ -34,7 +34,7 @@ from .errors import (
 )
 from .expand import _ROUND, _euclid
 
-_RATIONAL_RE = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
+_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 #: Tail-based checks are quadratic in the horizon; `check` caps them here.
 CHECK_TAIL_HORIZON = 30
@@ -51,7 +51,7 @@ CHECKS = ("lemma1", "determinant", "series_equivalence",
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
-    if not isinstance(value, str) or not _RATIONAL_RE.match(value):
+    if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
         raise ParseError(f"{where}: expected a rational string like '7/3', got {value!r}")
     try:
         return Fraction(value)

@@ -18,9 +18,8 @@ equality.  All types are immutable; operations return new values.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import IdentityViolation, InsufficientTerms
 
@@ -30,38 +29,72 @@ RationalLike = Union[int, str, Fraction]
 B_TOO_SMALL = "BTooSmall"
 GAP_VIOLATION = "GapViolation"
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class Term:
+
+class _Frozen:
+    """An immutable __slots__ record, compared, hashed, printed and pickled by _fields."""
+
+    __slots__ = ()
+    _fields: Tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+
+class Term(_Frozen):
     """One partial fraction: a numerator sign and a positive denominator.
 
     The denominator is *not* required to be >= 1 at construction time so that
     invalid sequences remain representable (validation reports them as data).
     """
 
-    a: int
-    b: Fraction
+    __slots__ = _fields = __match_args__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if type(self.a) is not int or self.a not in (1, -1):  # not True, not 1.0
-            raise ValueError(f"numerator sign must be +1 or -1, got {self.a!r}")
-        if type(self.b) is not Fraction:  # a Fraction is kept; a subclass is converted
-            object.__setattr__(self, "b", Fraction(self.b))
-        if self.b.numerator <= 0:
-            raise ValueError(f"partial denominator must be positive, got {self.b}")
+    def __init__(self, a: int, b: RationalLike) -> None:
+        if type(a) is not int or a not in (1, -1):  # not True, not 1.0
+            raise ValueError(f"numerator sign must be +1 or -1, got {a!r}")
+        b = b if type(b) is Fraction else Fraction(b)  # a subclass is converted
+        if b.numerator <= 0:
+            raise ValueError(f"partial denominator must be positive, got {b}")
+        _set(self, "a", a)
+        _set(self, "b", b)
 
 
-@dataclass(frozen=True)
-class PeriodicTerms(Sequence):
+class PeriodicTerms(_Frozen, Sequence):
     """The first `length` terms of an endlessly repeated period, unrolled lazily.
 
     Item i (0-based) is period[i % len(period)].  Immutable; compares equal
     to, and hashes like, the tuple of the same terms (hashing builds that
-    tuple, so it costs O(length)); the dataclass keeps both methods.
+    tuple, so it costs O(length)); both methods override _Frozen's.
     """
 
-    period: Tuple[Term, ...]
-    length: int
+    __slots__ = _fields = __match_args__ = ("period", "length")
+
+    def __init__(self, period: Tuple[Term, ...], length: int) -> None:
+        _set(self, "period", period)
+        _set(self, "length", length)
 
     def __len__(self) -> int:
         return self.length
@@ -86,27 +119,24 @@ class PeriodicTerms(Sequence):
         return hash(tuple(self))
 
 
-@dataclass(frozen=True)
-class SemiRegularCF:
+class SemiRegularCF(_Frozen):
     """A finite sequence b0; (a1, b1), (a2, b2), ... with 1-based term indices.
 
     `terms` is a tuple, or a PeriodicTerms for sequences built by periodic().
     """
 
-    b0: Fraction
-    terms: Sequence = ()
+    _fields = __match_args__ = ("b0", "terms")
     # A memo freed with the sequence: _states[k] is the recurrence window after
     # terms 1..k, and _sweep the latest tail sweep (end, xs), kept by tails,
     # with xs[j] the tail x_{end-j-1, j+1} as an unreduced integer pair.
-    _states: List[ConvergentState] = field(init=False, compare=False, repr=False)
-    _sweep: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
+    __slots__ = _fields + ("_states", "_sweep", "__weakref__")
 
-    def __post_init__(self) -> None:
-        if type(self.b0) is not Fraction:
-            object.__setattr__(self, "b0", Fraction(self.b0))
-        if not isinstance(self.terms, PeriodicTerms):
-            object.__setattr__(self, "terms", tuple(self.terms))
-        object.__setattr__(self, "_states", [init_state(self.b0)])
+    def __init__(self, b0: RationalLike, terms: Sequence = ()) -> None:
+        b0 = b0 if type(b0) is Fraction else Fraction(b0)
+        _set(self, "b0", b0)
+        _set(self, "terms", terms if isinstance(terms, PeriodicTerms) else tuple(terms))
+        _set(self, "_states", [init_state(b0)])
+        _set(self, "_sweep", None)
 
     @classmethod
     def from_pairs(
@@ -157,14 +187,12 @@ def _index(cf: SemiRegularCF, n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     index: int
     reason: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     first_violation: Optional[Violation] = None
 
     valid = property(lambda r: r.first_violation is None)
@@ -190,8 +218,7 @@ def validate(cf: SemiRegularCF) -> ValidationReport:
     return ValidationReport()
 
 
-@dataclass(frozen=True, slots=True)
-class ConvergentState:
+class ConvergentState(NamedTuple):
     """Sliding window of the convergent recurrence, held as integers.
 
     (P_prev, P_cur, Q_prev, Q_cur) are scale * (p_{n-1}, p_n, q_{n-1}, q_n)

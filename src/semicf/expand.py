@@ -8,11 +8,10 @@ output validates and folds back to its input exactly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, Tuple, Union
 
-from .core import RationalLike, SemiRegularCF, Term
+from .core import RationalLike, SemiRegularCF, Term, _Frozen, _set
 
 #: Denominator bound for random non-integer partial denominators.
 _DENOM_BOUND = 12
@@ -82,25 +81,23 @@ def nearest_int_expand(x: RationalLike) -> SemiRegularCF:
     return _expand(x, "nearest")
 
 
-@dataclass(frozen=True)
-class RandomSpec:
+class RandomSpec(_Frozen):
     """Parameters for the seeded random sequence generator."""
 
-    seed: int
-    length: int
-    minus_probability: Fraction = Fraction(1, 3)
-    integer_only: bool = False
+    __slots__ = _fields = __match_args__ = ("seed", "length", "minus_probability", "integer_only")
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.seed < 2**64:
+    def __init__(self, seed: int, length: int,
+                 minus_probability: RationalLike = Fraction(1, 3),
+                 integer_only: bool = False) -> None:
+        if not 0 <= seed < 2**64:
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.length < 1:
+        if length < 1:
             raise ValueError("length must be >= 1")
-        object.__setattr__(
-            self, "minus_probability", Fraction(self.minus_probability)
-        )
-        if not 0 <= self.minus_probability <= 1:
+        minus_probability = Fraction(minus_probability)
+        if not 0 <= minus_probability <= 1:
             raise ValueError("minus_probability must lie in [0, 1]")
+        for f, value in zip(self._fields, (seed, length, minus_probability, integer_only)):
+            _set(self, f, value)
 
 
 def _draw_rational(rng: random.Random, lo: int, integer_only: bool) -> Fraction:

@@ -24,9 +24,8 @@ bound at n = 1 is 1/2, but the next convergent is 3/2 away.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .core import (
     ConvergentState,
@@ -53,8 +52,7 @@ PLUS_ANCHOR = "PlusAnchor"
 ALL_MINUS_TAIL = "AllMinusTail"
 
 
-@dataclass(frozen=True)
-class TailValue:
+class TailValue(NamedTuple):
     """Exact value of the depth-k tail starting after index n."""
 
     n: int
@@ -62,8 +60,7 @@ class TailValue:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class ErrorCertificate:
+class ErrorCertificate(NamedTuple):
     """An exact upper bound on |limit - p_n/q_n| over all deeper convergents."""
 
     n: int
@@ -73,8 +70,7 @@ class ErrorCertificate:
     regime = property(lambda c: ALL_MINUS_TAIL if c.anchor is None else PLUS_ANCHOR)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     approximation: Fraction
     certified_error: Fraction
     steps_used: int

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -500,6 +501,32 @@ def test_oversized_expand_argument_is_usage_error(monkeypatch, capsys):
     code, out = run_cli(monkeypatch, capsys, ["expand", "--algo", "regular", HUGE])
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, where",
+    [
+        (["convergents", "-n", "1"], '{"b0":"1\\n","terms":[{"a":1,"b":"2"}]}', "b0"),
+        (["convergents", "-n", "1"], '{"b0":"1","terms":[{"a":1,"b":"2\\n"}]}', r"terms\[0\]\.b"),
+        (["eval", "--eps", "1/10\n"], GOLDEN_DOC, "--eps"),
+    ],
+    ids=["b0", "b", "eps"],
+)
+def test_rational_with_a_trailing_newline_is_a_parse_error(monkeypatch, capsys, argv, stdin,
+                                                           where):
+    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "parse error"
+    assert re.fullmatch(where + r": expected a rational string like '7/3', got '.*\\n'",
+                        doc["detail"])
+
+
+def test_expand_argument_with_a_trailing_newline_is_usage_error(capsys):
+    code = main(["expand", "--algo", "regular", "7/3\n"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: value: expected a rational string like '7/3', got '7/3\\n'\n"
 
 
 def _assert_output_too_large(code, out):

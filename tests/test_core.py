@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 import sys
@@ -266,7 +265,7 @@ class TestSeries:
     def test_memo_state_off_by_one_raises(self):
         cf = golden(5)
         state_at(cf, 5)
-        cf._states[3] = dataclasses.replace(cf._states[3], Q_cur=cf._states[3].Q_cur + 1)
+        cf._states[3] = cf._states[3]._replace(Q_cur=cf._states[3].Q_cur + 1)
         assert series_partial_sum(cf, 2) == Fraction(3, 2)
         with pytest.raises(IdentityViolation, match="^series term 3 leaves remainder 1$"):
             series_partial_sum(cf, 3)
