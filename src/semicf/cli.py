@@ -30,7 +30,9 @@ from .errors import (
     CFError,
     DenominatorBelowOne,
     IdentityViolation,
+    InsufficientTerms,
     ParseError,
+    TietzeViolation,
 )
 from .expand import _ROUND, _euclid
 
@@ -156,21 +158,6 @@ def _read_cf(args: argparse.Namespace, horizon: int) -> SemiRegularCF:
     return cf
 
 
-def _first_violation(cf: SemiRegularCF) -> Optional[dict]:
-    """The first Tietze violation of cf as a JSON object, or None if cf is valid."""
-    v = validate(cf).first_violation
-    return None if v is None else {"index": v.index, "reason": v.reason}
-
-
-def _require(cf: SemiRegularCF, terms: int) -> None:
-    """Refuse cf if it is invalid or has fewer than `terms` terms."""
-    violation = _first_violation(cf)
-    if violation is not None:
-        raise _Refused({"error": "invalid input", "first_violation": violation})
-    if terms > len(cf):
-        raise _Refused({"error": "insufficient terms", "available": len(cf)})
-
-
 def _cmd_expand(args: argparse.Namespace) -> int:
     try:
         x = _parse_rational(args.value, "value")
@@ -193,14 +180,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         sys.stderr.write("error: --max-steps must be >= 1\n")
         return 2
     cf = _read_cf(args, args.max_steps + 1)
-    _require(cf, 0)
     result = tails.evaluate(cf, eps, args.max_steps)
-    doc = {
-        "approximation": result.approximation,
-        "certified_error": result.certified_error,
-        "steps_used": result.steps_used,
-        "exact": result.exact,
-    }
+    doc = {**result._asdict(), "exact": result.exact}
     if args.decimals is not None:
         doc["decimal"] = _decimal_str(result.approximation, args.decimals)
     _emit(doc)
@@ -209,15 +190,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_convergents(args: argparse.Namespace) -> int:
     cf = _read_cf(args, args.n)
-    _require(cf, args.n)
+    tails._require_valid(cf)  # the library leaves iter_states unchecked
     rows: List[dict] = []
     for s in core.iter_states(cf, args.n):
-        row = {
-            "n": s.n,
-            "p": s.p_cur,
-            "q": s.q_cur,
-            "value": s.value,
-        }
+        row = {"n": s.n, "p": s.p_cur, "q": s.q_cur, "value": s.value}
         if args.decimals is not None:
             row["decimal"] = _decimal_str(s.value, args.decimals)
         rows.append(row)
@@ -227,16 +203,8 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     cf = _read_cf(args, args.n + 1)
-    _require(cf, args.n + 1)
     cert = tails.certify(cf, args.n)
-    _emit(
-        {
-            "n": cert.n,
-            "anchor": cert.anchor,
-            "regime": cert.regime,
-            "bound": cert.bound,
-        }
-    )
+    _emit({"n": cert.n, "anchor": cert.anchor, "regime": cert.regime, "bound": cert.bound})
     return 0
 
 
@@ -284,9 +252,9 @@ def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     cf = _read_cf(args, 0)
-    violation = _first_violation(cf)
+    violation = validate(cf).first_violation
     if violation is not None:
-        raise _Refused({"valid": False, "first_violation": violation, "checks": []})
+        raise _Refused({"valid": False, "first_violation": violation._asdict(), "checks": []})
     if len(cf) > CHECK_MAX_TERMS:
         raise _Refused({"error": "input too large",
                         "detail": f"check takes at most {CHECK_MAX_TERMS} terms, got {len(cf)}"})
@@ -364,6 +332,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
     except _Refused as exc:
         _emit(exc.args[0])
+        return 1
+    except TietzeViolation as exc:
+        _emit({"error": "invalid input", "first_violation": exc.violation._asdict()})
+        return 1
+    except InsufficientTerms as exc:
+        _emit({"error": "insufficient terms", "available": exc.available})
         return 1
     except CFError as exc:
         _emit({"error": type(exc).__name__, "detail": str(exc)})

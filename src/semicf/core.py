@@ -166,7 +166,7 @@ class SemiRegularCF(_Frozen):
     def term(self, n: int) -> Term:
         """The n-th term, 1-based."""
         if not 1 <= n <= len(self.terms):
-            raise InsufficientTerms(f"term index {n} outside 1..{len(self.terms)}")
+            raise InsufficientTerms(f"term index {n} outside 1..{len(self)}", len(self))
         return self.terms[n - 1]
 
     def a(self, n: int) -> int:
@@ -183,7 +183,7 @@ class SemiRegularCF(_Frozen):
 def _index(cf: SemiRegularCF, n: int) -> int:
     """n, if 0 <= n <= len(cf): an index of a state, a prefix or a tail end."""
     if not 0 <= n <= len(cf):
-        raise InsufficientTerms(f"index {n} outside 0..{len(cf)}")
+        raise InsufficientTerms(f"index {n} outside 0..{len(cf)}", len(cf))
     return n
 
 

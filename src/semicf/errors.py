@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An error with data keeps it in args as raised and reads it back through
+properties, so copy, deepcopy and pickle rebuild it whole.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +12,23 @@ class CFError(Exception):
 
 
 class TietzeViolation(CFError):
-    """evaluate() or certify() was given a sequence that validate() rejects."""
+    """(violation, b): validate's first Violation of a sequence given to
+    evaluate() or certify(), and b_n at its index."""
+
+    violation = property(lambda e: e.args[0])
+
+    def __str__(self) -> str:
+        v, b = self.args
+        return f"{v.reason} at index {v.index} (b_{v.index} = {b})"
 
 
 class InsufficientTerms(CFError):
-    """An operation needs more terms than the sequence provides."""
+    """(message, available): an index past the `available` terms of a sequence."""
+
+    available = property(lambda e: e.args[1])
+
+    def __str__(self) -> str:
+        return self.args[0]
 
 
 class IdentityViolation(CFError):
@@ -28,21 +44,23 @@ class DenominatorBelowOne(CFError):
 
 
 class ZeroDenominator(CFError):
-    """Direct nested evaluation hit a zero denominator (invalid sequence)."""
+    """(index): direct nested evaluation hit a zero denominator (invalid sequence)."""
 
-    def __init__(self, index: int):
-        super().__init__(f"zero denominator while folding at index {index}")
-        self.index = index
+    index = property(lambda e: e.args[0])
+
+    def __str__(self) -> str:
+        return f"zero denominator while folding at index {self.index}"
 
 
 class BudgetExhausted(CFError):
-    """evaluate() ran out of steps before certifying the requested accuracy."""
+    """(max_steps, best_bound): evaluate() ran out of steps before certifying eps."""
 
-    def __init__(self, max_steps: int, best_bound):
+    max_steps = property(lambda e: e.args[0])
+    best_bound = property(lambda e: e.args[1])
+
+    def __str__(self) -> str:
         # Not str(best_bound): that raises ValueError past the int-to-str digit limit.
-        super().__init__(f"no certificate within {max_steps} steps; see best_bound")
-        self.max_steps = max_steps
-        self.best_bound = best_bound
+        return f"no certificate within {self.max_steps} steps; see best_bound"
 
 
 class ParseError(CFError):

@@ -25,7 +25,7 @@ def fold_eval(cf: SemiRegularCF, n: Optional[int] = None) -> Fraction:
     if n is None:
         n = len(cf)
     if not 0 <= n <= len(cf):
-        raise InsufficientTerms(f"index {n} outside 0..{len(cf)}")
+        raise InsufficientTerms(f"index {n} outside 0..{len(cf)}", len(cf))
     r, s = 0, 1
     for i, t in zip(range(n, 0, -1), reversed(cf.terms[:n])):
         u, v = t.b.numerator, t.b.denominator

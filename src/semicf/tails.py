@@ -186,7 +186,7 @@ def _require_valid(cf: SemiRegularCF) -> None:
     """Raise TietzeViolation at validate's first violation of cf, if any."""
     v = validate(cf).first_violation
     if v is not None:
-        raise TietzeViolation(f"{v.reason} at index {v.index} (b_{v.index} = {cf.b(v.index)})")
+        raise TietzeViolation(v, cf.b(v.index))
 
 
 def certify(cf: SemiRegularCF, n: int) -> ErrorCertificate:
@@ -196,10 +196,11 @@ def certify(cf: SemiRegularCF, n: int) -> ErrorCertificate:
     through p_m/q_m gives |p_n/q_n - p_m/q_m| plus the uniform bound at m,
     1/q_m^2 (it uses that all tails past the anchor are positive), at most
     2/q_m^2 when the first leg is itself at most 1/q_m^2.  Without an anchor
-    the uniform one-step bound applies directly.  Validates cf first.
+    the uniform one-step bound applies directly.  Validates cf before it
+    checks the index, so an invalid sequence is refused before a short one.
     """
-    _index(cf, n + 1)  # a certificate at n needs term n + 1; anchor_index checks n >= 0
     _require_valid(cf)
+    _index(cf, n + 1)  # a certificate at n needs term n + 1; anchor_index checks n >= 0
     m = anchor_index(cf, n)
     # One walk to n that keeps only the states at m and n, not the memo's 0..n.
     s_m = None

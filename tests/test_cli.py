@@ -269,6 +269,31 @@ class TestCertifyCommand:
         assert doc["bound"] == "1/6"
 
 
+@pytest.mark.parametrize("argv", [["convergents", "-n", "5"], ["certify", "-n", "5"]])
+def test_an_invalid_document_is_refused_before_a_short_one(monkeypatch, capsys, argv):
+    stdin = '{"b0":"0","terms":[{"a":1,"b":"1/2"}]}'  # one term, and b_1 < 1
+    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    assert (code, out) == (
+        1, '{"error":"invalid input","first_violation":{"index":1,"reason":"BTooSmall"}}\n')
+
+
+@pytest.mark.parametrize("argv", [["eval", "--eps", "1/100"], ["certify", "-n", "4"],
+                                  ["convergents", "-n", "4"], ["check"]])
+def test_each_command_validates_its_document_once(monkeypatch, capsys, argv):
+    calls, validate = [], core.validate
+
+    def counting(cf):
+        calls.append(cf)
+        return validate(cf)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "semicf" and getattr(module, "validate", None) is validate:
+            monkeypatch.setattr(module, "validate", counting)
+    assert tails.validate is cli.validate is counting
+    code, out = run_cli(monkeypatch, capsys, argv, stdin=GOLDEN_DOC)
+    assert code == 0 and len(calls) == 1
+
+
 class TestCheckCommand:
     def test_valid_document_passes(self, monkeypatch, capsys):
         code, out = run_cli(monkeypatch, capsys, ["check"], stdin=GOLDEN_DOC)

@@ -16,6 +16,7 @@ from semicf import (
     DenominatorBelowOne,
     RandomSpec,
     SemiRegularCF,
+    TietzeViolation,
     anchor_index,
     certify,
     convergent,
@@ -174,6 +175,11 @@ class TestCertify:
         certify(cf, len(cf) - 1)
         with pytest.raises(InsufficientTerms):
             certify(cf, len(cf))
+
+    def test_refuses_an_invalid_sequence_before_a_short_one(self):
+        # n = 5 needs five more terms than the one there, and b_1 = 1/2 < 1
+        with pytest.raises(TietzeViolation, match=r"^BTooSmall at index 1 \(b_1 = 1/2\)$"):
+            certify(SemiRegularCF.from_pairs(0, [(1, Fraction(1, 2))]), 5)
 
     def test_cauchy_property(self):
         for seed in (2, 5, 11, 14):
