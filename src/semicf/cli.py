@@ -147,14 +147,13 @@ def _emit(doc: Any) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _read_cf(args: argparse.Namespace, horizon: int) -> SemiRegularCF:
+def _read_cf(args: argparse.Namespace) -> SemiRegularCF:
+    """stdin's document; with --repeat, its terms repeated endlessly (sys.maxsize terms)."""
     cf = parse_cf(sys.stdin.buffer.read())  # bytes: json.loads decodes them, whatever the locale
     if getattr(args, "repeat", False):
         if not cf.terms:
             raise ParseError("--repeat needs at least one term to continue")
-        cf = SemiRegularCF.periodic(
-            cf.b0, [(t.a, t.b) for t in cf.terms], max(horizon, len(cf))
-        )
+        cf = SemiRegularCF.periodic(cf.b0, [(t.a, t.b) for t in cf.terms], sys.maxsize)
     return cf
 
 
@@ -179,7 +178,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.max_steps < 1:
         sys.stderr.write("error: --max-steps must be >= 1\n")
         return 2
-    cf = _read_cf(args, args.max_steps + 1)
+    cf = _read_cf(args)
     result = tails.evaluate(cf, eps, args.max_steps)
     doc = {**result._asdict(), "exact": result.exact}
     if args.decimals is not None:
@@ -189,7 +188,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_convergents(args: argparse.Namespace) -> int:
-    cf = _read_cf(args, args.n)
+    cf = _read_cf(args)
     tails._require_valid(cf)  # the library leaves iter_states unchecked
     rows: List[dict] = []
     for s in core.iter_states(cf, args.n):
@@ -202,7 +201,7 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    cf = _read_cf(args, args.n + 1)
+    cf = _read_cf(args)
     cert = tails.certify(cf, args.n)
     _emit({"n": cert.n, "anchor": cert.anchor, "regime": cert.regime, "bound": cert.bound})
     return 0
@@ -251,7 +250,7 @@ def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cf = _read_cf(args, 0)
+    cf = _read_cf(args)
     violation = validate(cf).first_violation
     if violation is not None:
         raise _Refused({"valid": False, "first_violation": violation._asdict(), "checks": []})
@@ -267,7 +266,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _count(text: str) -> int:
-    """A nonnegative int below sys.maxsize, so a horizon of value + 1 terms has a len()."""
+    """0 <= value < sys.maxsize, so that index value + 1 is a term of a --repeat sequence."""
     try:
         value = int(text)
     except ValueError:

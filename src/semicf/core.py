@@ -85,9 +85,10 @@ class Term(_Frozen):
 class PeriodicTerms(_Frozen, Sequence):
     """The first `length` terms of an endlessly repeated period, unrolled lazily.
 
-    Item i (0-based) is period[i % len(period)].  Immutable; compares equal
-    to, and hashes like, the tuple of the same terms (hashing builds that
-    tuple, so it costs O(length)); both methods override _Frozen's.
+    Item i (0-based) is period[i % len(period)].  Immutable; compares and
+    hashes by (period, length) in O(period), as the other records do, so it
+    is not equal to the tuple of its terms, nor to a source whose period is
+    another period's repetition.
     """
 
     __slots__ = _fields = __match_args__ = ("period", "length")
@@ -104,19 +105,6 @@ class PeriodicTerms(_Frozen, Sequence):
         if isinstance(i, slice):
             return tuple(self.period[j % p] for j in range(self.length)[i])
         return self.period[range(self.length)[i] % p]
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PeriodicTerms):
-            # Sequences with periods p and q that agree on their first p + q
-            # terms agree everywhere (Fine and Wilf).
-            k = min(self.length, len(self.period) + len(other.period))
-            return self.length == other.length and self[:k] == other[:k]
-        if isinstance(other, tuple):
-            return self.length == len(other) and tuple(self) == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 class SemiRegularCF(_Frozen):

@@ -7,6 +7,14 @@ properties, so copy, deepcopy and pickle rebuild it whole.
 from __future__ import annotations
 
 
+def _show(x: object) -> str:
+    """str(x) for a message, or a stand-in where str() raises ValueError."""
+    try:
+        return str(x)
+    except ValueError:  # more digits than the int-to-str limit converts
+        return "<a number past the int-to-str digit limit>"
+
+
 class CFError(Exception):
     """Base class for all semicf errors."""
 
@@ -19,7 +27,7 @@ class TietzeViolation(CFError):
 
     def __str__(self) -> str:
         v, b = self.args
-        return f"{v.reason} at index {v.index} (b_{v.index} = {b})"
+        return f"{v.reason} at index {v.index} (b_{v.index} = {_show(b)})"
 
 
 class InsufficientTerms(CFError):

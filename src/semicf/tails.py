@@ -42,6 +42,7 @@ from .errors import (
     DenominatorBelowOne,
     IdentityViolation,
     TietzeViolation,
+    _show,
 )
 
 #: Default step budget for evaluate(): enough for a slowest-case bound
@@ -104,7 +105,7 @@ def _tail_pair(cf: SemiRegularCF, n: int, k: int) -> Tuple[int, int]:
         u, v = t.b.numerator, t.b.denominator
         den = u * s + v * r  # v s (b_m + x_{m, j})
         if den < v * s:
-            raise DenominatorBelowOne(f"b_{m} + x_{m},{j} = {Fraction(den, v * s)} < 1")
+            raise DenominatorBelowOne(f"b_{m} + x_{m},{j} = {_show(Fraction(den, v * s))} < 1")
         # Write slot j rather than append, as core._states_through does.
         xs[j:j + 1] = [(t.a * v * s, den)]
     return xs[k - 1]
@@ -160,7 +161,8 @@ def _uniform_bound(s: ConvergentState, a_next: int) -> Tuple[int, int]:
     d = s.Q_cur if a_next == 1 else s.Q_cur - s.Q_prev  # scale * D_n
     if d < s.scale:
         raise IdentityViolation(
-            f"uniform-bound denominator {Fraction(d, s.scale)} < 1 at n={s.n} (invalid sequence?)"
+            f"uniform-bound denominator {_show(Fraction(d, s.scale))} < 1 at n={s.n} "
+            "(invalid sequence?)"
         )
     return s.scale * s.scale, s.Q_cur * d
 

@@ -194,11 +194,18 @@ class TestEvalCommand:
         doc = json.loads(out)
         assert doc["approximation"] == "21/13" and doc["steps_used"] == 6
 
-    def test_repeat_reports_wrap_gap_violation(self, monkeypatch, capsys):
-        # b_2 + a_3 = b_2 + a_1 = 1 - 1 < 1 once the period wraps
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--eps", "1/100", "--max-steps", str(10**12)],
+        ["eval", "--eps", "1/100", "--max-steps", "1"],
+        ["certify", "-n", "0"],
+        ["certify", "-n", "1"],
+        ["convergents", "-n", "1"],
+    ], ids=["eval-long", "eval-1", "certify-0", "certify-1", "convergents-1"])
+    def test_repeat_reports_wrap_gap_violation(self, monkeypatch, capsys, argv):
+        # b_2 + a_3 = b_2 + a_1 = 1 - 1 < 1 once the period wraps, which it
+        # does however few terms the request reads.
         stdin = '{"b0":"0","terms":[{"a":-1,"b":"2"},{"a":1,"b":"1"}]}'
-        argv = ["eval", "--eps", "1/100", "--repeat", "--max-steps", str(10**12)]
-        code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        code, out = run_cli(monkeypatch, capsys, argv + ["--repeat"], stdin=stdin)
         assert code == 1
         assert json.loads(out)["first_violation"] == {"index": 2, "reason": "GapViolation"}
 
@@ -666,8 +673,8 @@ def test_check_reports_an_invalid_document_over_the_term_budget(monkeypatch, cap
 
 
 COUNT = st.integers(0, 300).map(str)
-# Edge counts are drawn only without --repeat: --repeat unrolls the period
-# to the count, so a count near sys.maxsize asks for that much real work.
+# Edge counts are drawn only without --repeat: a --repeat sequence has
+# sys.maxsize terms, so a count near it asks for that many steps of real work.
 EDGE_COUNT = st.sampled_from(["-1", str(sys.maxsize - 1), str(sys.maxsize), "2.5"])
 # -h, --h, --he, ... ask argparse for its help text on stdout, by design.
 TEXT = st.text(max_size=12).filter(lambda t: not t.startswith("-h") and
@@ -721,13 +728,9 @@ def cli_argv(draw):
     return argv
 
 
-@settings(deadline=2000, max_examples=500)
-@given(argv=cli_argv(),
-       stdin=st.one_of(DOCUMENT, odd_document(), st.text(max_size=60), st.binary(max_size=60)))
-def test_cli_is_total(argv, stdin):
-    """Whatever argv and stdin, main exits 0..3, answers with one JSON line on
-    stdout (usage errors: a message on stderr instead), and never a traceback."""
-    data = stdin.encode() if isinstance(stdin, str) else stdin
+def _main(argv, data):
+    """main's exit code, stdout and stderr for argv with the bytes data on stdin.
+    Properties call this in place of run_cli, whose fixtures last a whole test."""
     out, err = io.StringIO(), io.StringIO()
     old = sys.stdin, sys.stdout, sys.stderr
     sys.stdin, sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO(data)), out, err
@@ -735,7 +738,16 @@ def test_cli_is_total(argv, stdin):
         code = main(argv)
     finally:
         sys.stdin, sys.stdout, sys.stderr = old
-    out, err = out.getvalue(), err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(deadline=2000, max_examples=500)
+@given(argv=cli_argv(),
+       stdin=st.one_of(DOCUMENT, odd_document(), st.text(max_size=60), st.binary(max_size=60)))
+def test_cli_is_total(argv, stdin):
+    """Whatever argv and stdin, main exits 0..3, answers with one JSON line on
+    stdout (usage errors: a message on stderr instead), and never a traceback."""
+    code, out, err = _main(argv, stdin.encode() if isinstance(stdin, str) else stdin)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in out + err
     if code == 2:
@@ -743,6 +755,36 @@ def test_cli_is_total(argv, stdin):
     else:
         assert err == "" and out.count("\n") == 1 and out.endswith("\n")
         json.loads(out)
+
+
+@settings(deadline=None, max_examples=200)
+@given(b0=st.fractions(min_value=-5, max_value=5, max_denominator=4),
+       period=st.lists(st.tuples(st.sampled_from([1, -1]), SMALL_B), min_size=1, max_size=4))
+@example(b0=Fraction(0), period=[(-1, Fraction(4)), (-1, Fraction(1))])  # b_2 + a_1 < 1
+def test_repeat_verdict_does_not_depend_on_n(b0, period):
+    """certify -n N --repeat, for every N in 0..2p, refuses exactly as -n 3p
+    does, or prints a bound that the convergents N + 1 .. N + 2p + 1 of the
+    periodic sequence keep."""
+    p = len(period)
+    stdin = serialize_cf(SemiRegularCF.from_pairs(b0, period)).encode()
+
+    def certify(n):
+        code, out, _ = _main(["certify", "-n", str(n), "--repeat"], stdin)
+        return code, json.loads(out)
+
+    def convergent(d):
+        return oracle.fold_eval(SemiRegularCF.periodic(b0, period, d))
+
+    deep = certify(3 * p)
+    for n in range(2 * p + 1):
+        code, doc = certify(n)
+        if "first_violation" in deep[1]:
+            assert (code, doc) == deep
+        else:
+            assert code == 0
+            bound = Fraction(doc["bound"])
+            assert all(abs(convergent(d) - convergent(n)) <= bound
+                       for d in range(n + 1, n + 2 * p + 2))
 
 
 # A numeral of 3,990 to 4,310 digits, on both sides of the default 4300-digit

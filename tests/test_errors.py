@@ -11,13 +11,14 @@ from semicf import (
     BudgetExhausted,
     InsufficientTerms,
     SemiRegularCF,
-    TietzeViolation,
     Violation,
     ZeroDenominator,
     certify,
     convergent,
     evaluate,
     fold_eval,
+    tail,
+    uniform_step_bound,
 )
 
 
@@ -75,9 +76,19 @@ def test_public_constructors_keep_their_signatures():
     assert str(error) == "no certificate within 10 steps; see best_bound"
 
 
-def test_a_violation_whose_b_has_too_many_digits_to_print_is_still_raised():
-    # str(b) fails past the int-to-str digit limit; raising the data does not need it
-    cf = SemiRegularCF.from_pairs(0, [(1, Fraction(1, 10**5000))])
-    with pytest.raises(TietzeViolation) as exc:
-        evaluate(cf, 1)
-    assert exc.value.violation == Violation(1, "BTooSmall")
+#: b_1 = 1/10**5000 has a denominator that str() refuses past the int-to-str
+#: digit limit; each error about it must still be raised, with a message.
+TINY_B = [(1, Fraction(1, 10**5000))]
+ABOUT_A_LONG_NUMBER = {
+    "TietzeViolation": lambda: _raised(evaluate, SemiRegularCF.from_pairs(0, TINY_B), 1),
+    "DenominatorBelowOne": lambda: _raised(tail, SemiRegularCF.from_pairs(0, TINY_B), 0, 1),
+    "IdentityViolation": lambda: _raised(
+        uniform_step_bound, SemiRegularCF.from_pairs(0, TINY_B + [(1, 1)]), 1),
+}
+
+
+@pytest.mark.parametrize("name", ABOUT_A_LONG_NUMBER)
+def test_an_error_about_a_number_too_long_to_print_is_still_raised(name):
+    error = ABOUT_A_LONG_NUMBER[name]()
+    assert type(error).__name__ == name
+    assert "<a number past the int-to-str digit limit>" in str(error)
