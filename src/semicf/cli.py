@@ -138,13 +138,20 @@ def _decimal_str(x: Fraction, places: int) -> str:
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
 
 
-def _emit(doc: Any) -> None:
-    """Write doc as one JSON line; Fractions in it are written as strings."""
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+
+
+def _encode(doc: Any) -> str:
+    """doc as compact JSON; Fractions in it are written as strings."""
     try:
-        text = json.dumps(doc, separators=(",", ":"), default=str)
+        return _ENCODER.encode(doc)
     except ValueError:  # a Fraction with more digits than str() converts
         raise _too_large() from None
-    sys.stdout.write(text + "\n")
+
+
+def _emit(doc: Any) -> None:
+    """Write doc as one JSON line."""
+    sys.stdout.write(_encode(doc) + "\n")
 
 
 def _read_cf(args: argparse.Namespace) -> SemiRegularCF:
@@ -190,13 +197,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_convergents(args: argparse.Namespace) -> int:
     cf = _read_cf(args)
     tails._require_valid(cf)  # the library leaves iter_states unchecked
-    rows: List[dict] = []
+    rows: List[str] = []  # each row encoded as it is built: the first too large ends the walk
     for s in core.iter_states(cf, args.n):
         row = {"n": s.n, "p": s.p_cur, "q": s.q_cur, "value": s.value}
         if args.decimals is not None:
             row["decimal"] = _decimal_str(s.value, args.decimals)
-        rows.append(row)
-    _emit({"convergents": rows})
+        rows.append(_encode(row))
+    sys.stdout.write('{"convergents":[' + ",".join(rows) + "]}\n")
     return 0
 
 
@@ -210,18 +217,18 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
     """The first index at which each check fails, or None where it passes.
 
-    One pass over the states checks the recurrence identities and the fold
-    oracle.  One end-major pass over ends 1..CHECK_TAIL_HORIZON checks the
-    tails, so the queries of one end share one tail sweep.  A check fails
-    where its condition is false or the library raises an identity error,
+    One walk over the states: at state n it checks the recurrence identities
+    and the fold oracle, and while n <= CHECK_TAIL_HORIZON the tails of every
+    split n = m + k, which share one tail sweep and report n.  A check fails
+    where its condition is False or the library raises an identity error,
     and is not run again once it has failed.
     """
     first: Dict[str, Optional[int]] = dict.fromkeys(CHECKS)
 
-    def run(name: str, index: int, holds: Callable[[], bool]) -> None:
+    def run(name: str, index: int, holds: Callable[[], object]) -> None:
         if first[name] is None:
             try:
-                ok = holds()
+                ok = holds() is not False
             except (IdentityViolation, DenominatorBelowOne):
                 ok = False
             if not ok:
@@ -229,23 +236,22 @@ def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
 
     num, r, prev = cf.b0.numerator, 0, None  # the series sum is num / s.Q_cur
     for s in core.iter_states(cf):
-        n, c = s.n, s.value
+        n = s.n
         if n:
             num, r = core._series_step(s, prev, num)
         run("lemma1", n,
-            lambda: s.q_cur >= 1 and (n == len(cf) or core.gap(s, cf.a(n + 1)) >= 1))
-        run("determinant", n, lambda: n == 0 or core.determinant_check(s) in (1, -1))
+            lambda: s.Q_cur >= s.scale and (n == len(cf) or core.gap(s, cf.a(n + 1)) >= 1))
+        run("determinant", n, lambda: core.determinant_check(s))
         run("series_equivalence", n,
-            lambda: not r and Fraction(num, s.Q_cur) == c == oracle.fold_eval(cf, n))
+            lambda: not r and num == s.P_cur and s.value == oracle.fold_eval(cf, n))
         prev = s
-    for end in range(1, min(len(cf), CHECK_TAIL_HORIZON) + 1):
-        deep = core.convergent(cf, end)
-        for n in range(end):
-            k = end - n
-            run("tail_bounds", end, lambda: 0 < tails.tail(cf, n, k).value * cf.a(n + 1) <= 1)
-            run("shift_identity", end, lambda: tails.shift_check(cf, n, k) == deep)
-            run("error_bounds", end,
-                lambda: tails.error_bound(cf, n, k) <= tails.uniform_step_bound(cf, n))
+        if n <= CHECK_TAIL_HORIZON:
+            for m in range(n):
+                k = n - m
+                run("tail_bounds", n, lambda: 0 < tails.tail(cf, m, k).value * cf.a(m + 1) <= 1)
+                run("shift_identity", n, lambda: tails.shift_check(cf, m, k))
+                run("error_bounds", n,
+                    lambda: tails.error_bound(cf, m, k) <= tails.uniform_step_bound(cf, m))
     return first
 
 

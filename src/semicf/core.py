@@ -17,6 +17,7 @@ equality.  All types are immutable; operations return new values.
 
 from __future__ import annotations
 
+import sys
 from collections.abc import Sequence
 from fractions import Fraction
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -140,12 +141,14 @@ class SemiRegularCF(_Frozen):
         length: int,
     ) -> "SemiRegularCF":
         """The first `length` terms of the repeated period; term n is
-        pairs[(n - 1) % len(pairs)].  Nothing is unrolled up front."""
+        pairs[(n - 1) % len(pairs)].  Nothing is unrolled up front.  length
+        is an int in 0..sys.maxsize, the lengths that len() can report."""
         period = tuple(Term(a, b) for a, b in pairs)
         if not period:
             raise ValueError("periodic continuation needs a nonempty period")
-        if length < 0:
-            raise ValueError("length must be nonnegative")
+        if type(length) is not int or not 0 <= length <= sys.maxsize:
+            raise ValueError(f"length must be nonnegative and an int <= sys.maxsize, "
+                             f"got {length!r}")
         return cls(b0, PeriodicTerms(period, length))
 
     def __len__(self) -> int:
@@ -290,12 +293,10 @@ def convergent(cf: SemiRegularCF, n: int) -> Fraction:
 def determinant_check(s: ConvergentState) -> int:
     """Return (-1)^{n-1} a_1...a_n and verify the cross-product identity.
 
-    p_n q_{n-1} - p_{n-1} q_n equals that sign exactly for every valid
-    sequence; a mismatch means the recurrence was driven with inconsistent
-    data and raises IdentityViolation.
+    p_n q_{n-1} - p_{n-1} q_n equals that sign exactly for every n >= 0 of a
+    valid sequence (-1 at n = 0); a mismatch means the recurrence was driven
+    with inconsistent data and raises IdentityViolation.
     """
-    if s.n < 1:
-        raise ValueError("determinant identity needs n >= 1")
     actual = s.P_cur * s.Q_prev - s.P_prev * s.Q_cur  # scale**2 times the identity
     if actual != s.det * s.scale * s.scale:
         raise IdentityViolation(

@@ -359,11 +359,13 @@ INJECTED_FAULTS = [
     ("error_bounds", "tails", "error_bound", 8, lambda real, cf, n, k: Fraction(2)),
     ("series_equivalence", "core", "_series_step", 4,
      lambda real, s, prev, num: (real(s, prev, num)[0], 1)),
+    ("determinant", "core", "determinant_check", 0, _raise),  # n = 0 is checked too
 ]
 
 
 @pytest.mark.parametrize(
-    "check, module, func, index, bad", INJECTED_FAULTS, ids=[*cli.CHECKS, "series_step"]
+    "check, module, func, index, bad", INJECTED_FAULTS,
+    ids=[*cli.CHECKS, "series_step", "determinant_from_0"],
 )
 def test_check_reports_each_failure_on_its_own(monkeypatch, capsys, check, module, func,
                                                 index, bad):
@@ -571,6 +573,19 @@ def test_convergents_over_the_digit_limit(monkeypatch, capsys):
     stdin = '{"b0":"0","terms":[{"a":1,"b":"%s"},{"a":1,"b":"%s"}]}' % (big, big)
     code, out = run_cli(monkeypatch, capsys, ["convergents", "-n", "2"], stdin=stdin)
     _assert_output_too_large(code, out)
+
+
+def test_convergents_stops_at_the_first_row_too_large_to_print():
+    """On the golden period q_n passes 640 digits near n = 3060, which settles
+    the answer; a walk on to row 10**9 would not end within the timeout."""
+    env = {**os.environ, "PYTHONINTMAXSTRDIGITS": "640",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "semicf.cli", "convergents", "-n", "1000000000", "--repeat"],
+        input=b'{"b0":"1","terms":[{"a":1,"b":"1"}]}', capture_output=True, env=env, timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, b'{"error":"output too large","detail":'
+                                                 b'"a number in the result has over 640 digits '
+                                                 b'(PYTHONINTMAXSTRDIGITS)"}\n')
 
 
 def test_budget_exhausted_over_the_digit_limit(monkeypatch, capsys):

@@ -159,6 +159,15 @@ class TestPeriodic:
         with pytest.raises(ValueError, match="length must be nonnegative"):
             SemiRegularCF.periodic(1, [(1, 1)], -1)
 
+    @pytest.mark.parametrize("length", [sys.maxsize + 1, 2.5])
+    def test_refuses_a_length_len_cannot_report(self, length):
+        with pytest.raises(ValueError, match="length must be nonnegative and an int"):
+            SemiRegularCF.periodic(1, [(1, 1)], length)
+
+    def test_longest_length_is_sys_maxsize(self):
+        cf = SemiRegularCF.periodic(1, [(1, 1)], sys.maxsize)
+        assert len(cf) == sys.maxsize and cf.a(sys.maxsize) == 1 and validate(cf).valid
+
     def test_fields_are_read_only(self):
         terms = SemiRegularCF.periodic(1, [(1, 1)], 5).terms
         with pytest.raises(AttributeError, match="cannot assign to field 'length'"):
@@ -254,9 +263,10 @@ class TestDeterminant:
         assert s.p_cur * s.q_prev - s.p_prev * s.q_cur == -1
         assert determinant_check(s) == -1
 
-    def test_needs_positive_index(self):
-        with pytest.raises(ValueError):
-            determinant_check(init_state(1))
+    @pytest.mark.parametrize("b0", [1, Fraction(-7, 3)], ids=["1", "-7/3"])
+    def test_index_zero_is_minus_one(self, b0):
+        """b0*0 - 1*1 = -1: the empty product's sign, which init_state stores."""
+        assert determinant_check(init_state(b0)) == -1
 
 
 class TestSeries:
@@ -376,7 +386,7 @@ def test_random_sequences_satisfy_exact_identities(
         assert s.q_cur >= 1
         if s.n >= 1:
             assert s.det == -prev.det * cf.a(s.n)
-            determinant_check(s)
+        determinant_check(s)
         prev = s
         if s.n < length:
             assert gap(s, cf.a(s.n + 1)) >= 1
