@@ -16,8 +16,10 @@ stdout document), 2 usage error, 3 step budget exhausted.
 from __future__ import annotations
 
 import argparse
+import errno
 import itertools
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -156,7 +158,13 @@ def _emit(doc: Any) -> None:
 
 def _read_cf(args: argparse.Namespace) -> SemiRegularCF:
     """stdin's document; with --repeat, its terms repeated endlessly (sys.maxsize terms)."""
-    cf = parse_cf(sys.stdin.buffer.read())  # bytes: json.loads decodes them, whatever the locale
+    if sys.stdin is None:  # the process started with descriptor 0 closed
+        raise ParseError("stdin is closed")
+    try:
+        data = sys.stdin.buffer.read()  # bytes: json.loads decodes them, whatever the locale
+    except OSError as exc:
+        raise ParseError(f"cannot read stdin: {exc.strerror}") from None
+    cf = parse_cf(data)
     if getattr(args, "repeat", False):
         if not cf.terms:
             raise ParseError("--repeat needs at least one term to continue")
@@ -350,7 +358,21 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def console_entry() -> None:
-    sys.exit(main())
+    """main as the semicf script.  A write to stdout that fails (its reader is
+    gone, its device is full, it is closed) is answered by one line on stderr
+    and exit 1; stdout then points at os.devnull, so that the flush at exit
+    cannot fail again."""
+    try:
+        if sys.stdout is None:  # the process started with descriptor 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(f"error: cannot write to stdout: {exc.strerror}\n")
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

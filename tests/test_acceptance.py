@@ -4,10 +4,8 @@ Each test prints a single PASS line (visible with `pytest -s` or on failure);
 all comparisons are exact rational comparisons, no tolerances.
 """
 
-import io
 import json
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -35,9 +33,10 @@ from semicf import (
     uniform_step_bound,
     validate,
 )
-from semicf.cli import main as cli_main, parse_cf, serialize_cf
+from semicf.cli import parse_cf, serialize_cf
 
 from conftest import all_minus_two, corpus_cf, golden
+from runner import run
 
 TAIL_HORIZON = 30
 
@@ -199,10 +198,9 @@ def test_criterion_9_anchor_certificates(corpus):
     print(f"PASS  9. anchored certificate <= 2/q_m^2 at {checked} tested indices")
 
 
-def _run_check(monkeypatch, capsys, document: str):
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(document.encode())))
-    code = cli_main(["check"])
-    return code, json.loads(capsys.readouterr().out)
+def _run_check(document: str):
+    code, out, _ = run(["check"], document.encode())
+    return code, json.loads(out)
 
 
 def _invalid_documents():
@@ -219,13 +217,13 @@ def _invalid_documents():
     return docs
 
 
-def test_criterion_10_cli_round_trip_and_violations(corpus, monkeypatch, capsys):
+def test_criterion_10_cli_round_trip_and_violations(corpus):
     for cf in corpus[:100]:
         blob = serialize_cf(cf)
         assert serialize_cf(parse_cf(blob)) == blob
     invalid = _invalid_documents()
     for document, index, reason in invalid:
-        code, doc = _run_check(monkeypatch, capsys, document)
+        code, doc = _run_check(document)
         assert code == 1
         assert doc["valid"] is False
         assert doc["first_violation"] == {"index": index, "reason": reason}

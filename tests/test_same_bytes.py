@@ -4,19 +4,22 @@ Each digest is the sha256 of every (exit code, stdout, stderr) of one kind
 of command over the corpus, recorded when the test was written.  A change to
 any of them is a change to what semicf prints.  Only text that semicf writes
 itself is pinned: no argparse usage message and no message quoted from a
-Python exception.  The module needs no pytest, so any interpreter can run it:
+Python exception.  The "rational documents" kind runs `convergents`,
+`certify`, `check` and `eval` on two documents of rational `b`, with and
+without `--repeat`; its bytes are those the recurrence over reduced
+Fractions printed.  The module needs no pytest, so any interpreter can run
+it, from the repository root:
 
-    PYTHONPATH=src python -c "import tests.test_same_bytes as t; print(t.digests())"
+    PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); import test_same_bytes as t; print(t.digests())"
 """
 
 import hashlib
-import io
 import json
-import sys
 from fractions import Fraction
 
+from runner import run
 from semicf import RandomSpec, random_tietze
-from semicf.cli import main, serialize_cf
+from semicf.cli import serialize_cf
 
 SPECS = [
     RandomSpec(seed=seed, length=seed % 40 + 1, minus_probability=Fraction(seed % 4, 4),
@@ -62,7 +65,22 @@ ERRORS = [
     (["expand", "--algo", "negative", "1/100002"], ""),
 ]
 
-EXPANDS = ["0", "7/3", "-7/3", "5/2", "-5/2", "355/113"]
+EXPANDS = ["0", "7/3", "-7/3", "5/2", "-5/2", "355/113"]  # after "--", as a negative one must be
+
+RATIONAL_A = ('{"b0":"7/3","terms":[{"a":1,"b":"5/2"},{"a":-1,"b":"3"},{"a":1,"b":"7/3"},'
+              '{"a":-1,"b":"7/2"},{"a":1,"b":"1"},{"a":1,"b":"9/4"}]}')
+RATIONAL_B = '{"b0":"-1/2","terms":[{"a":-1,"b":"5/2"},{"a":1,"b":"7/3"}]}'
+EPS = "1/100000000000000000000"
+RATIONALS = [
+    (["convergents", "-n", "6", "--decimals", "12"], RATIONAL_A),
+    (["convergents", "-n", "8", "--repeat", "--decimals", "12"], RATIONAL_B),
+    (["certify", "-n", "5"], RATIONAL_A),
+    (["certify", "-n", "40", "--repeat"], RATIONAL_B),
+    (["check"], RATIONAL_A),
+    (["check"], RATIONAL_B),
+    (["eval", "--eps", EPS, "--repeat"], RATIONAL_A),
+    (["eval", "--eps", EPS, "--repeat"], RATIONAL_B),
+]
 
 DIGESTS = {
     "random_tietze": "3c8a870f2b4f401a",
@@ -74,21 +92,15 @@ DIGESTS = {
     "convergents --repeat": "065c7e8f183215bc",
     "certify": "18ba41c5fd019d89",
     "certify --repeat": "519d50c1d150f332",
-    "expand": "be259f2838591bd9",
+    "expand": "8a6060d0573225b8",
     "errors": "b75051d935ec930e",
+    "rational documents": "d443feb284d519d2",
 }
 
 
 def _run(argv, stdin=""):
     """main(argv) in this process, as one JSON line [exit code, stdout, stderr]."""
-    out, err = io.StringIO(), io.StringIO()
-    old = sys.stdin, sys.stdout, sys.stderr
-    sys.stdin, sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO(stdin.encode())), out, err
-    try:
-        code = main(argv)
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = old
-    return json.dumps([code, out.getvalue(), err.getvalue()]) + "\n"
+    return json.dumps(run(argv, stdin.encode())) + "\n"
 
 
 def digests():
@@ -109,9 +121,10 @@ def digests():
                                  for doc in docs],
         "certify": [_run(["certify", "-n", str(i % 45)], doc) for i, doc in enumerate(docs)],
         "certify --repeat": [_run(["certify", "-n", "100", "--repeat"], doc) for doc in docs],
-        "expand": [_run(["expand", "--algo", algo, x])
+        "expand": [_run(["expand", "--algo", algo, "--", x])
                    for algo in ("regular", "negative", "nearest") for x in EXPANDS],
         "errors": [_run(argv, stdin) for argv, stdin in ERRORS],
+        "rational documents": [_run(argv, stdin) for argv, stdin in RATIONALS],
     }
     return {kind: hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
             for kind, lines in runs.items()}
