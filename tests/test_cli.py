@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import os
@@ -20,6 +21,7 @@ from semicf.cli import CHECK_TAIL_HORIZON, main, parse_cf, serialize_cf
 
 from conftest import corpus_cf, golden
 from runner import run as _main  # for properties: run_cli's fixtures last a whole test
+from test_same_bytes import RATIONAL_B, RATIONALS
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
@@ -401,6 +403,17 @@ def test_check_starts_one_tail_sweep_per_end(monkeypatch, capsys):
     code, _ = run_cli(monkeypatch, capsys, ["check"], stdin=CHECK_DOC)
     assert code == 0
     assert len(sweeps) == CHECK_TAIL_HORIZON == 30
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, digest", RATIONALS,
+    ids=[f"{r[0][0]}-{'AB'[r[1] == RATIONAL_B]}" for r in RATIONALS],
+)
+def test_golden_output_on_rational_documents(argv, stdin, digest):
+    """Each run of the "rational documents" digest kind, checked on its own so
+    that a changed byte names its command and document."""
+    code, out, err = _main(argv, stdin.encode())
+    assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 
 
 BAD_UTF8 = b"\xff{"
