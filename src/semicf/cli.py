@@ -357,11 +357,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 1
 
 
+def _to_devnull(stream) -> None:
+    """Point stream's descriptor at os.devnull, so that the flush at exit cannot fail."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def console_entry() -> None:
     """main as the semicf script.  A write to stdout that fails (its reader is
     gone, its device is full, it is closed) is answered by one line on stderr
-    and exit 1; stdout then points at os.devnull, so that the flush at exit
-    cannot fail again."""
+    and exit 1.  stderr holds what it is given until main has answered, so a
+    write to it that fails is told apart: it is dropped and main's exit code
+    stands.  A stream that failed then points at os.devnull."""
+    if sys.stderr is not None:
+        sys.stderr.reconfigure(line_buffering=False, write_through=False)
     try:
         if sys.stdout is None:  # the process started with descriptor 1 closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
@@ -369,11 +377,16 @@ def console_entry() -> None:
         sys.stdout.flush()
     except OSError as exc:
         if sys.stdout is not None:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        sys.stderr.write(f"error: cannot write to stdout: {exc.strerror}\n")
+            _to_devnull(sys.stdout)
+        if sys.stderr is not None:
+            sys.stderr.write(f"error: cannot write to stdout: {exc.strerror}\n")
         code = 1
+    if sys.stderr is not None:
+        try:
+            sys.stderr.flush()
+        except OSError:
+            _to_devnull(sys.stderr)
     sys.exit(code)
-
 
 if __name__ == "__main__":
     console_entry()

@@ -11,11 +11,14 @@ from semicf.cli import main
 
 
 def run(argv, stdin=b""):
-    """(exit code, stdout, stderr) of main(argv) with the bytes stdin on stdin."""
+    """(exit code, stdout, stderr) of main(argv), with stdin the given bytes or
+    binary stream."""
+    if isinstance(stdin, bytes):
+        stdin = io.BytesIO(stdin)
     out, err = io.StringIO(), io.StringIO()
     old = sys.stdin, sys.stdout, sys.stderr
     # Bytes-backed, as a process's stdin is: main reads sys.stdin.buffer.
-    sys.stdin, sys.stdout, sys.stderr = io.TextIOWrapper(io.BytesIO(stdin)), out, err
+    sys.stdin, sys.stdout, sys.stderr = io.TextIOWrapper(stdin), out, err
     try:
         code = main(argv)
     finally:

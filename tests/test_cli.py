@@ -20,15 +20,14 @@ from semicf import cli, core, oracle, tails
 from semicf.cli import CHECK_TAIL_HORIZON, main, parse_cf, serialize_cf
 
 from conftest import corpus_cf, golden
-from runner import run as _main  # for properties: run_cli's fixtures last a whole test
-from test_same_bytes import RATIONAL_B, RATIONALS
+from runner import run as _main
 
 
 def run_cli(monkeypatch, capsys, argv, stdin=""):
-    # Bytes-backed, as a process's stdin is: main reads sys.stdin.buffer.
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin.encode())))
-    code = main(argv)
-    return code, capsys.readouterr().out
+    """(exit code, stdout) of main(argv).  monkeypatch and capsys are unused;
+    the signature is its many callers'."""
+    code, out, _ = _main(argv, stdin.encode())
+    return code, out
 
 
 GOLDEN_DOC = serialize_cf(golden(8))
@@ -229,12 +228,10 @@ class TestEvalCommand:
         code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
         assert code == 0 and json.loads(out)["decimal"] == decimal
 
-    def test_zero_max_steps_is_usage_error_before_stdin(self, monkeypatch, capsys):
-        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(_UnreadableStdin()))
-        code = main(["eval", "--eps", "1/10", "--max-steps", "0"])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == "error: --max-steps must be >= 1\n"
+    def test_zero_max_steps_is_usage_error_before_stdin(self):
+        code, out, err = _main(["eval", "--eps", "1/10", "--max-steps", "0"], _UnreadableStdin())
+        assert code == 2 and out == ""
+        assert err == "error: --max-steps must be >= 1\n"
 
 
 class TestConvergentsCommand:
@@ -405,13 +402,40 @@ def test_check_starts_one_tail_sweep_per_end(monkeypatch, capsys):
     assert len(sweeps) == CHECK_TAIL_HORIZON == 30
 
 
+RATIONAL_A = ('{"b0":"7/3","terms":[{"a":1,"b":"5/2"},{"a":-1,"b":"3"},{"a":1,"b":"7/3"},'
+              '{"a":-1,"b":"7/2"},{"a":1,"b":"1"},{"a":1,"b":"9/4"}]}')
+RATIONAL_B = '{"b0":"-1/2","terms":[{"a":-1,"b":"5/2"},{"a":1,"b":"7/3"}]}'
+EPS = "1/100000000000000000000"
+# Each run exits 0 with an empty stderr; the third field is the sha256 of its
+# stdout, recorded with the earlier recurrence over reduced Fractions.
+RATIONALS = [
+    (["convergents", "-n", "6", "--decimals", "12"], RATIONAL_A,
+     "8d69a504a49f5c5450795b0afe82884cc55be50db5fd65fd658b01d14a6117b7"),
+    (["convergents", "-n", "8", "--repeat", "--decimals", "12"], RATIONAL_B,
+     "fa4128fb547447ff5beb20c925b6ce3d8f18f3985a1cf2fe6fe7c2c5383f26d4"),
+    (["certify", "-n", "5"], RATIONAL_A,
+     "45e542f548fff774353b775f219278e66992ef648cfec71813189b39465c6171"),
+    (["certify", "-n", "40", "--repeat"], RATIONAL_B,
+     "66cf252ed54f88ec758b0f624e35ae8eb9e2ff05267b0652325fc95ff796ffa9"),
+    (["check"], RATIONAL_A,
+     "f9ac3ab3ff2cc40f630e43cbcce42b0e04c7ee9fa3f159eb1c1c3539d5e774f0"),
+    (["check"], RATIONAL_B,
+     "f9ac3ab3ff2cc40f630e43cbcce42b0e04c7ee9fa3f159eb1c1c3539d5e774f0"),
+    (["eval", "--eps", EPS, "--repeat"], RATIONAL_A,
+     "0da796308b314c9f521f3b3c609632039e472aab65d5147399af70e3cc69a7e4"),
+    (["eval", "--eps", EPS, "--repeat"], RATIONAL_B,
+     "b761192b978e8775d8e3fc8dcecd368aaea92924766512b4e88ddb137854eb4d"),
+]
+
+
+
 @pytest.mark.parametrize(
     "argv, stdin, digest", RATIONALS,
     ids=[f"{r[0][0]}-{'AB'[r[1] == RATIONAL_B]}" for r in RATIONALS],
 )
 def test_golden_output_on_rational_documents(argv, stdin, digest):
-    """Each run of the "rational documents" digest kind, checked on its own so
-    that a changed byte names its command and document."""
+    """The CLI's bytes on documents of rational b, pinned run by run, so that a
+    changed byte names its command and document."""
     code, out, err = _main(argv, stdin.encode())
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 
@@ -444,10 +468,9 @@ class _FailingStdin(io.RawIOBase):
         raise OSError(errno.EIO, os.strerror(errno.EIO))
 
 
-def test_failed_stdin_read_is_a_parse_error(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BufferedReader(_FailingStdin())))
-    code = main(["check"])
-    assert (code, json.loads(capsys.readouterr().out)) == (
+def test_failed_stdin_read_is_a_parse_error():
+    code, out, _ = _main(["check"], io.BufferedReader(_FailingStdin()))
+    assert (code, json.loads(out)) == (
         1, {"error": "parse error", "detail": f"cannot read stdin: {os.strerror(errno.EIO)}"})
 
 
@@ -471,25 +494,52 @@ def test_process_answers_failed_io_in_one_line(redirect, argv, out, err, unbuffe
     exits 1 with one line and no traceback.  out None: stdout is a pipe whose
     reader has gone, as `| head -c 5` leaves it once head has exited; the
     golden period's 200 convergents are more than stdout buffers."""
+    stdout = subprocess.PIPE
+    if out is None:
+        read, stdout = os.pipe()
+        os.close(read)
+    try:
+        proc = _semicf_process(redirect, argv, unbuffered, stdout)
+    finally:
+        if out is None:
+            os.close(stdout)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, out, err)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "redirect, argv, code",
+    [
+        ("2>/dev/full", ["eval", "--eps", "0"], 2),
+        ("2>/dev/full", ["nope"], 2),
+        ("2>/dev/full", ["check"], 0),
+        (">/dev/full 2>/dev/full", ["eval", "--eps", "1/100", "--repeat"], 1),
+    ],
+    ids=["usage-error", "argparse-error", "success", "stdout-full-too"],
+)
+def test_failed_write_to_stderr_keeps_the_exit_code(redirect, argv, code, unbuffered):
+    """With stderr on a full device, what semicf says there is lost, but the
+    exit code is main's, or 1 when stdout fails too, and stdout is unchanged."""
+    proc = _semicf_process(redirect, argv, unbuffered)
+    expected = _main(argv, GOLDEN_PERIOD)[1].encode() if code == 0 else b""
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected, b"")
+
+
+GOLDEN_PERIOD = b'{"b0":"1","terms":[{"a":1,"b":"1"}]}'
+
+
+def _semicf_process(redirect, argv, unbuffered, stdout=subprocess.PIPE):
+    """`python -m semicf.cli argv` on the golden period, started by sh with the
+    redirection applied, with or without PYTHONUNBUFFERED."""
     if "/dev/full" in redirect and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    stdout = subprocess.PIPE
-    if out is None:
-        read, stdout = os.pipe()
-        os.close(read)
-    try:
-        proc = subprocess.run(
-            ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "semicf.cli", *argv],
-            input=b'{"b0":"1","terms":[{"a":1,"b":"1"}]}', stdout=stdout, stderr=subprocess.PIPE,
-            env=env, timeout=60)
-    finally:
-        if out is None:
-            os.close(stdout)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (1, out, err)
+    return subprocess.run(
+        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "semicf.cli", *argv],
+        input=GOLDEN_PERIOD, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
 
 
 def test_usage_error_exit_2(monkeypatch, capsys):
@@ -513,13 +563,11 @@ class _UnreadableStdin(io.BytesIO):
         (["convergents", "-n", "2", "--decimals", "-1"], "--decimals"),
     ],
 )
-def test_negative_counts_are_usage_errors(monkeypatch, capsys, argv, flag):
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(_UnreadableStdin()))
-    code = main(argv)
-    captured = capsys.readouterr()
+def test_negative_counts_are_usage_errors(argv, flag):
+    code, out, err = _main(argv, _UnreadableStdin())
     assert code == 2
-    assert captured.out == ""
-    assert f"argument {flag}: must be >= 0" in captured.err
+    assert out == ""
+    assert f"argument {flag}: must be >= 0" in err
 
 
 @pytest.mark.parametrize(
@@ -531,13 +579,11 @@ def test_negative_counts_are_usage_errors(monkeypatch, capsys, argv, flag):
     ],
     ids=["eval", "convergents", "certify"],
 )
-def test_horizons_beyond_maxsize_are_usage_errors(monkeypatch, capsys, argv, flag):
-    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(_UnreadableStdin()))
-    code = main(argv)
-    captured = capsys.readouterr()
+def test_horizons_beyond_maxsize_are_usage_errors(argv, flag):
+    code, out, err = _main(argv, _UnreadableStdin())
     assert code == 2
-    assert captured.out == ""
-    assert f"argument {flag}: must be >= 0 and < {sys.maxsize}" in captured.err
+    assert out == ""
+    assert f"argument {flag}: must be >= 0 and < {sys.maxsize}" in err
 
 
 def test_largest_accepted_horizon(monkeypatch, capsys):

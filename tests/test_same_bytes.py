@@ -4,11 +4,10 @@ Each digest is the sha256 of every (exit code, stdout, stderr) of one kind
 of command over the corpus, recorded when the test was written.  A change to
 any of them is a change to what semicf prints.  Only text that semicf writes
 itself is pinned: no argparse usage message and no message quoted from a
-Python exception.  The "rational documents" kind runs `convergents`,
-`certify`, `check` and `eval` on two documents of rational `b`, with and
-without `--repeat`; its bytes are those the recurrence over reduced
-Fractions printed, and `RATIONALS` holds each run's stdout digest as well.  The module needs no pytest, so any interpreter can run
-it, from the repository root:
+Python exception.  The runs on two documents of rational `b` are pinned one
+by one, by the sha256 of each run's stdout, in test_cli.py's `RATIONALS`.
+The module needs no pytest, so any interpreter can run it, from the
+repository root:
 
     PYTHONPATH=src python -c "import sys; sys.path.insert(0, 'tests'); import test_same_bytes as t; print(t.digests())"
 """
@@ -67,32 +66,6 @@ ERRORS = [
 
 EXPANDS = ["0", "7/3", "-7/3", "5/2", "-5/2", "355/113"]  # after "--", as a negative one must be
 
-RATIONAL_A = ('{"b0":"7/3","terms":[{"a":1,"b":"5/2"},{"a":-1,"b":"3"},{"a":1,"b":"7/3"},'
-              '{"a":-1,"b":"7/2"},{"a":1,"b":"1"},{"a":1,"b":"9/4"}]}')
-RATIONAL_B = '{"b0":"-1/2","terms":[{"a":-1,"b":"5/2"},{"a":1,"b":"7/3"}]}'
-EPS = "1/100000000000000000000"
-# Each run exits 0 with an empty stderr; the third field is the sha256 of its
-# stdout, recorded with the earlier recurrence over reduced Fractions, which
-# test_cli.py checks run by run.
-RATIONALS = [
-    (["convergents", "-n", "6", "--decimals", "12"], RATIONAL_A,
-     "8d69a504a49f5c5450795b0afe82884cc55be50db5fd65fd658b01d14a6117b7"),
-    (["convergents", "-n", "8", "--repeat", "--decimals", "12"], RATIONAL_B,
-     "fa4128fb547447ff5beb20c925b6ce3d8f18f3985a1cf2fe6fe7c2c5383f26d4"),
-    (["certify", "-n", "5"], RATIONAL_A,
-     "45e542f548fff774353b775f219278e66992ef648cfec71813189b39465c6171"),
-    (["certify", "-n", "40", "--repeat"], RATIONAL_B,
-     "66cf252ed54f88ec758b0f624e35ae8eb9e2ff05267b0652325fc95ff796ffa9"),
-    (["check"], RATIONAL_A,
-     "f9ac3ab3ff2cc40f630e43cbcce42b0e04c7ee9fa3f159eb1c1c3539d5e774f0"),
-    (["check"], RATIONAL_B,
-     "f9ac3ab3ff2cc40f630e43cbcce42b0e04c7ee9fa3f159eb1c1c3539d5e774f0"),
-    (["eval", "--eps", EPS, "--repeat"], RATIONAL_A,
-     "0da796308b314c9f521f3b3c609632039e472aab65d5147399af70e3cc69a7e4"),
-    (["eval", "--eps", EPS, "--repeat"], RATIONAL_B,
-     "b761192b978e8775d8e3fc8dcecd368aaea92924766512b4e88ddb137854eb4d"),
-]
-
 DIGESTS = {
     "random_tietze": "3c8a870f2b4f401a",
     "check": "0ace6ac38d45c6e0",
@@ -105,7 +78,6 @@ DIGESTS = {
     "certify --repeat": "519d50c1d150f332",
     "expand": "8a6060d0573225b8",
     "errors": "b75051d935ec930e",
-    "rational documents": "d443feb284d519d2",
 }
 
 
@@ -135,7 +107,6 @@ def digests():
         "expand": [_run(["expand", "--algo", algo, "--", x])
                    for algo in ("regular", "negative", "nearest") for x in EXPANDS],
         "errors": [_run(argv, stdin) for argv, stdin in ERRORS],
-        "rational documents": [_run(argv, stdin) for argv, stdin, _ in RATIONALS],
     }
     return {kind: hashlib.sha256("".join(lines).encode()).hexdigest()[:16]
             for kind, lines in runs.items()}
