@@ -11,6 +11,9 @@ fixed field order, compact separators.
 
 Exit codes: 0 success, 1 invariant failure or invalid input (details in the
 stdout document), 2 usage error, 3 step budget exhausted.
+
+`answer` is the pure entry, returning exit code, stdout and stderr; only
+`console_entry`, the `semicf` script, touches the process's streams.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple, Union
 
 from . import core, oracle, tails
 from .core import SemiRegularCF, Term, validate
@@ -110,15 +113,16 @@ def serialize_cf(cf: SemiRegularCF) -> str:
     return json.dumps(doc, separators=(",", ":"))
 
 
-class _Refused(Exception):
-    """A command refuses its input or output: main prints args[0] as the answer and exits 1."""
+class _Answer(Exception):
+    """The answer, decided where it is raised: args are its (exit code, stdout,
+    stderr).  Help, a usage error, a refusal, a failed check, an exhausted budget."""
 
 
-def _too_large(detail: Optional[str] = None) -> _Refused:
+def _too_large(detail: Optional[str] = None) -> _Answer:
     """The refusal of a result too large to print; by default a number has too many digits."""
     limit = sys.get_int_max_str_digits()
-    return _Refused({"error": "output too large", "detail": detail or
-                     f"a number in the result has over {limit} digits (PYTHONINTMAXSTRDIGITS)"})
+    detail = detail or f"a number in the result has over {limit} digits (PYTHONINTMAXSTRDIGITS)"
+    return _Answer(1, _line({"error": "output too large", "detail": detail}), "")
 
 
 def _decimal_str(x: Fraction, places: int) -> str:
@@ -151,17 +155,18 @@ def _encode(doc: Any) -> str:
         raise _too_large() from None
 
 
-def _emit(doc: Any) -> None:
-    """Write doc as one JSON line."""
-    sys.stdout.write(_encode(doc) + "\n")
+def _line(doc: Any) -> str:
+    """doc as one JSON line."""
+    return _encode(doc) + "\n"
 
 
 def _read_cf(args: argparse.Namespace) -> SemiRegularCF:
-    """stdin's document; with --repeat, its terms repeated endlessly (sys.maxsize terms)."""
-    if sys.stdin is None:  # the process started with descriptor 0 closed
+    """The document on args.stdin, a binary stream read only here, or None when
+    closed; with --repeat, its terms repeated endlessly (sys.maxsize terms)."""
+    if args.stdin is None:
         raise ParseError("stdin is closed")
     try:
-        data = sys.stdin.buffer.read()  # bytes: json.loads decodes them, whatever the locale
+        data = args.stdin.read()  # bytes: json.loads decodes them, whatever the locale
     except OSError as exc:
         raise ParseError(f"cannot read stdin: {exc.strerror}") from None
     cf = parse_cf(data)
@@ -172,37 +177,36 @@ def _read_cf(args: argparse.Namespace) -> SemiRegularCF:
     return cf
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
+def _cmd_expand(args: argparse.Namespace) -> str:
     try:
         x = _parse_rational(args.value, "value")
     except ParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        raise _Answer(2, "", f"error: {exc}\n") from None
     b0, *pairs = itertools.islice(_euclid(x, args.algo), EXPAND_MAX_TERMS + 2)
     if len(pairs) > EXPAND_MAX_TERMS:
         raise _too_large(f"the expansion has over {EXPAND_MAX_TERMS} terms")
-    sys.stdout.write(serialize_cf(SemiRegularCF.from_pairs(b0, pairs)) + "\n")
-    return 0
+    return serialize_cf(SemiRegularCF.from_pairs(b0, pairs)) + "\n"
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
+def _cmd_eval(args: argparse.Namespace) -> str:
     eps = _parse_rational(args.eps, "--eps")
     if eps <= 0:
-        sys.stderr.write("error: --eps must be > 0\n")
-        return 2
+        raise _Answer(2, "", "error: --eps must be > 0\n")
     if args.max_steps < 1:
-        sys.stderr.write("error: --max-steps must be >= 1\n")
-        return 2
+        raise _Answer(2, "", "error: --max-steps must be >= 1\n")
     cf = _read_cf(args)
-    result = tails.evaluate(cf, eps, args.max_steps)
+    try:
+        result = tails.evaluate(cf, eps, args.max_steps)
+    except BudgetExhausted as exc:  # past the digit limit, _line answers "output too large"
+        raise _Answer(3, _line({"error": "budget exhausted", "max_steps": exc.max_steps,
+                                "best_bound": exc.best_bound}), "") from None
     doc = {**result._asdict(), "exact": result.exact}
     if args.decimals is not None:
         doc["decimal"] = _decimal_str(result.approximation, args.decimals)
-    _emit(doc)
-    return 0
+    return _line(doc)
 
 
-def _cmd_convergents(args: argparse.Namespace) -> int:
+def _cmd_convergents(args: argparse.Namespace) -> str:
     cf = _read_cf(args)
     tails._require_valid(cf)  # the library leaves iter_states unchecked
     rows: List[str] = []  # each row encoded as it is built: the first too large ends the walk
@@ -211,15 +215,13 @@ def _cmd_convergents(args: argparse.Namespace) -> int:
         if args.decimals is not None:
             row["decimal"] = _decimal_str(s.value, args.decimals)
         rows.append(_encode(row))
-    sys.stdout.write('{"convergents":[' + ",".join(rows) + "]}\n")
-    return 0
+    return '{"convergents":[' + ",".join(rows) + "]}\n"
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> str:
     cf = _read_cf(args)
     cert = tails.certify(cf, args.n)
-    _emit({"n": cert.n, "anchor": cert.anchor, "regime": cert.regime, "bound": cert.bound})
-    return 0
+    return _line({"n": cert.n, "anchor": cert.anchor, "regime": cert.regime, "bound": cert.bound})
 
 
 def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
@@ -263,20 +265,23 @@ def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
     return first
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
+def _cmd_check(args: argparse.Namespace) -> str:
     cf = _read_cf(args)
     violation = validate(cf).first_violation
     if violation is not None:
-        raise _Refused({"valid": False, "first_violation": violation._asdict(), "checks": []})
+        raise _Answer(1, _line({"valid": False, "first_violation": violation._asdict(),
+                                "checks": []}), "")
     if len(cf) > CHECK_MAX_TERMS:
-        raise _Refused({"error": "input too large",
-                        "detail": f"check takes at most {CHECK_MAX_TERMS} terms, got {len(cf)}"})
+        detail = f"check takes at most {CHECK_MAX_TERMS} terms, got {len(cf)}"
+        raise _Answer(1, _line({"error": "input too large", "detail": detail}), "")
     checks = [
         {"name": name, "pass": first is None, "first_failure": first}
         for name, first in _first_failures(cf).items()
     ]
-    _emit({"valid": True, "checks": checks})
-    return 0 if all(c["pass"] for c in checks) else 1
+    text = _line({"valid": True, "checks": checks})
+    if not all(c["pass"] for c in checks):
+        raise _Answer(1, text, "")
+    return text
 
 
 def _count(text: str) -> int:
@@ -290,8 +295,18 @@ def _count(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subparsers' class, that raises help and errors as _Answers."""
+
+    def error(self, message: str) -> None:
+        raise _Answer(2, "", f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+    def print_help(self, file: Any = None) -> None:
+        raise _Answer(0, self.format_help(), "")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="semicf",
         description="Exact semi-regular continued fraction toolkit.",
     )
@@ -327,65 +342,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+def answer(argv: List[str], stdin: Optional[BinaryIO]) -> Tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `semicf argv`, touching no sys stream.  stdin
+    (a binary stream, or None when closed) is read only once argv has been checked."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        try:
-            return args.func(args)
-        except BudgetExhausted as exc:  # nested: "output too large" from this _emit goes on out
-            _emit({"error": "budget exhausted", "max_steps": exc.max_steps,
-                   "best_bound": exc.best_bound})
-            return 3
+        args = build_parser().parse_args(argv, argparse.Namespace(stdin=stdin))
+        return 0, args.func(args), ""
+    except _Answer as exc:
+        return exc.args
     except ParseError as exc:
-        _emit({"error": "parse error", "detail": str(exc)})
-        return 1
-    except _Refused as exc:
-        _emit(exc.args[0])
-        return 1
+        doc = {"error": "parse error", "detail": str(exc)}
     except TietzeViolation as exc:
-        _emit({"error": "invalid input", "first_violation": exc.violation._asdict()})
-        return 1
+        doc = {"error": "invalid input", "first_violation": exc.violation._asdict()}
     except InsufficientTerms as exc:
-        _emit({"error": "insufficient terms", "available": exc.available})
-        return 1
+        doc = {"error": "insufficient terms", "available": exc.available}
     except CFError as exc:
-        _emit({"error": type(exc).__name__, "detail": str(exc)})
-        return 1
+        doc = {"error": type(exc).__name__, "detail": str(exc)}
+    return 1, _line(doc), ""
 
 
-def _to_devnull(stream) -> None:
-    """Point stream's descriptor at os.devnull, so that the flush at exit cannot fail."""
-    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+def _write(fd: int, data: bytes) -> None:
+    """Write all of data to descriptor fd, retrying partial writes; an OSError goes on out."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 def console_entry() -> None:
-    """main as the semicf script.  A write to stdout that fails (its reader is
-    gone, its device is full, it is closed) is answered by one line on stderr
-    and exit 1.  stderr holds what it is given until main has answered, so a
-    write to it that fails is told apart: it is dropped and main's exit code
-    stands.  A stream that failed then points at os.devnull."""
-    if sys.stderr is not None:
-        sys.stderr.reconfigure(line_buffering=False, write_through=False)
+    """answer as the semicf script.  A failed write to stdout (its reader gone, its
+    device full, it closed) is answered by one line on stderr and exit 1.  stderr
+    is written as far as it goes; a failed write to it keeps the exit code."""
+    code, out, err = answer(sys.argv[1:], None if sys.stdin is None else sys.stdin.buffer)
     try:
         if sys.stdout is None:  # the process started with descriptor 1 closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        code = main()
-        sys.stdout.flush()
+        _write(1, out.encode(sys.stdout.encoding, sys.stdout.errors))
     except OSError as exc:
-        if sys.stdout is not None:
-            _to_devnull(sys.stdout)
-        if sys.stderr is not None:
-            sys.stderr.write(f"error: cannot write to stdout: {exc.strerror}\n")
-        code = 1
-    if sys.stderr is not None:
+        code, err = 1, f"error: cannot write to stdout: {exc.strerror}\n"
+    if sys.stderr is not None:  # None: the process started with descriptor 2 closed
         try:
-            sys.stderr.flush()
+            _write(2, err.encode(sys.stderr.encoding, sys.stderr.errors))
         except OSError:
-            _to_devnull(sys.stderr)
+            pass  # what semicf says there is lost; the exit code stands
     sys.exit(code)
 
 if __name__ == "__main__":

@@ -1,26 +1,17 @@
-"""semicf.cli.main run in this process, with bytes on stdin and text captured.
+"""semicf.cli.answer run in this process on stdin's bytes.
 
 The module needs no pytest, so the test modules that any interpreter runs
 use it too.
 """
 
 import io
-import sys
 
-from semicf.cli import main
+from semicf.cli import answer
 
 
 def run(argv, stdin=b""):
-    """(exit code, stdout, stderr) of main(argv), with stdin the given bytes or
-    binary stream."""
-    if isinstance(stdin, bytes):
-        stdin = io.BytesIO(stdin)
-    out, err = io.StringIO(), io.StringIO()
-    old = sys.stdin, sys.stdout, sys.stderr
-    # Bytes-backed, as a process's stdin is: main reads sys.stdin.buffer.
-    sys.stdin, sys.stdout, sys.stderr = io.TextIOWrapper(stdin), out, err
-    try:
-        code = main(argv)
-    finally:
-        sys.stdin, sys.stdout, sys.stderr = old
-    return code, out.getvalue(), err.getvalue()
+    """(exit code, stdout, stderr) of answer(argv, stdin), with stdin the given
+    text, bytes or binary stream."""
+    if isinstance(stdin, str):
+        stdin = stdin.encode()
+    return answer(argv, io.BytesIO(stdin) if isinstance(stdin, bytes) else stdin)

@@ -17,17 +17,10 @@ from hypothesis import strategies as st
 
 from semicf import IdentityViolation, ParseError, RandomSpec, SemiRegularCF, random_tietze
 from semicf import cli, core, oracle, tails
-from semicf.cli import CHECK_TAIL_HORIZON, main, parse_cf, serialize_cf
+from semicf.cli import CHECK_TAIL_HORIZON, parse_cf, serialize_cf
 
 from conftest import corpus_cf, golden
-from runner import run as _main
-
-
-def run_cli(monkeypatch, capsys, argv, stdin=""):
-    """(exit code, stdout) of main(argv).  monkeypatch and capsys are unused;
-    the signature is its many callers'."""
-    code, out, _ = _main(argv, stdin.encode())
-    return code, out
+from runner import run
 
 
 GOLDEN_DOC = serialize_cf(golden(8))
@@ -47,11 +40,11 @@ class TestParse:
             parse_cf('{"b0":"1","terms":[{"a":0,"b":"2"}]}')
 
     @pytest.mark.parametrize("a", ["1.0", "-1.0", "1e0", "true"])
-    def test_sign_that_is_not_an_int_rejected(self, monkeypatch, capsys, a):
+    def test_sign_that_is_not_an_int_rejected(self, a):
         stdin = '{"b0":"0","terms":[{"a":%s,"b":"1"}]}' % a
         with pytest.raises(ParseError, match=r"terms\[0\]\.a: must be 1 or -1"):
             parse_cf(stdin)
-        code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
+        code, out, _ = run(["check"], stdin=stdin)
         assert code == 1 and json.loads(out)["error"] == "parse error"
 
     @pytest.mark.parametrize(
@@ -66,10 +59,10 @@ class TestParse:
             ('{"b0":"1","terms":[[1,"1"]]}', r"terms\[0\]: expected an object"),
         ],
     )
-    def test_document_shape_errors(self, monkeypatch, capsys, text, message):
+    def test_document_shape_errors(self, text, message):
         with pytest.raises(ParseError, match=message):
             parse_cf(text)
-        code, out = run_cli(monkeypatch, capsys, ["check"], stdin=text)
+        code, out, _ = run(["check"], stdin=text)
         assert code == 1 and json.loads(out)["error"] == "parse error"
 
     def test_noncanonical_normalized(self):
@@ -101,35 +94,34 @@ class TestParse:
         doc = serialize_cf(corpus_cf(5))
         assert serialize_cf(parse_cf(doc)) == doc
 
-    def test_deep_nesting_is_a_parse_error(self, monkeypatch, capsys):
+    def test_deep_nesting_is_a_parse_error(self):
         text = "[" * 100000 + "]" * 100000
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_cf(text)
-        code, out = run_cli(monkeypatch, capsys, ["check"], stdin=text)
+        code, out, _ = run(["check"], stdin=text)
         assert code == 1
         assert json.loads(out)["error"] == "parse error"
 
 
 class TestExpandCommand:
-    def test_negative(self, monkeypatch, capsys):
-        code, out = run_cli(monkeypatch, capsys, ["expand", "--algo", "negative", "7/3"])
+    def test_negative(self):
+        code, out, _ = run(["expand", "--algo", "negative", "7/3"])
         assert code == 0
         assert out.strip() == '{"b0":"3","terms":[{"a":-1,"b":"2"},{"a":-1,"b":"2"}]}'
 
-    def test_bad_rational_is_usage_error(self, monkeypatch, capsys):
-        code, _ = run_cli(monkeypatch, capsys, ["expand", "--algo", "regular", "1.5"])
+    def test_bad_rational_is_usage_error(self):
+        code, _, _ = run(["expand", "--algo", "regular", "1.5"])
         assert code == 2
 
-    def test_bad_algo_is_usage_error(self, capsys):
-        assert main(["expand", "--algo", "x", "1"]) == 2
-        assert "choose from 'regular', 'negative', 'nearest'" in capsys.readouterr().err
+    def test_bad_algo_is_usage_error(self):
+        code, out, err = run(["expand", "--algo", "x", "1"])
+        assert (code, out) == (2, "")
+        assert "choose from 'regular', 'negative', 'nearest'" in err
 
 
 class TestEvalCommand:
-    def test_golden(self, monkeypatch, capsys):
-        code, out = run_cli(
-            monkeypatch, capsys, ["eval", "--eps", "1/100"], stdin=GOLDEN_DOC
-        )
+    def test_golden(self):
+        code, out, _ = run(["eval", "--eps", "1/100"], stdin=GOLDEN_DOC)
         assert code == 0
         doc = json.loads(out)
         assert doc["approximation"] == "21/13"
@@ -137,13 +129,9 @@ class TestEvalCommand:
         assert doc["steps_used"] == 6
         assert doc["exact"] is False
 
-    def test_finite_exact(self, monkeypatch, capsys):
-        code, out = run_cli(
-            monkeypatch,
-            capsys,
-            ["eval", "--eps", "1/1000000"],
-            stdin='{"b0":"2","terms":[{"a":1,"b":"3"}]}',
-        )
+    def test_finite_exact(self):
+        stdin = '{"b0":"2","terms":[{"a":1,"b":"3"}]}'
+        code, out, _ = run(["eval", "--eps", "1/1000000"], stdin=stdin)
         assert code == 0
         doc = json.loads(out)
         assert doc == {
@@ -153,45 +141,37 @@ class TestEvalCommand:
             "exact": True,
         }
 
-    def test_repeat_extends_period(self, monkeypatch, capsys):
+    def test_repeat_extends_period(self):
         stdin = '{"b0":"1","terms":[{"a":1,"b":"1"}]}'
-        code, out = run_cli(
-            monkeypatch, capsys, ["eval", "--eps", "1/100", "--repeat"], stdin=stdin
-        )
+        code, out, _ = run(["eval", "--eps", "1/100", "--repeat"], stdin=stdin)
         assert code == 0
         assert json.loads(out)["approximation"] == "21/13"
 
-    def test_budget_exhausted_exit_3(self, monkeypatch, capsys):
+    def test_budget_exhausted_exit_3(self):
         stdin = '{"b0":"2","terms":[{"a":-1,"b":"2"}]}'
-        code, out = run_cli(
-            monkeypatch,
-            capsys,
-            ["eval", "--eps", "1/100", "--max-steps", "10", "--repeat"],
-            stdin=stdin,
-        )
+        argv = ["eval", "--eps", "1/100", "--max-steps", "10", "--repeat"]
+        code, out, _ = run(argv, stdin=stdin)
         assert code == 3
         doc = json.loads(out)
         assert doc["error"] == "budget exhausted"
         assert doc["best_bound"] == "1/11"
 
-    def test_parse_error_exit_1(self, monkeypatch, capsys):
-        code, out = run_cli(
-            monkeypatch, capsys, ["eval", "--eps", "1/10"], stdin="not json"
-        )
+    def test_parse_error_exit_1(self):
+        code, out, _ = run(["eval", "--eps", "1/10"], stdin="not json")
         assert code == 1
         assert json.loads(out)["error"] == "parse error"
 
-    def test_invalid_input_exit_1(self, monkeypatch, capsys):
+    def test_invalid_input_exit_1(self):
         stdin = '{"b0":"0","terms":[{"a":-1,"b":"1"},{"a":-1,"b":"2"}]}'
-        code, out = run_cli(monkeypatch, capsys, ["eval", "--eps", "1/10"], stdin=stdin)
+        code, out, _ = run(["eval", "--eps", "1/10"], stdin=stdin)
         assert code == 1
         doc = json.loads(out)
         assert doc["first_violation"] == {"index": 1, "reason": "GapViolation"}
 
-    def test_cost_does_not_depend_on_max_steps(self, monkeypatch, capsys):
+    def test_cost_does_not_depend_on_max_steps(self):
         stdin = '{"b0":"1","terms":[{"a":1,"b":"1"}]}'
         argv = ["eval", "--eps", "1/100", "--repeat", "--max-steps", str(10**12)]
-        code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        code, out, _ = run(argv, stdin=stdin)
         assert code == 0
         doc = json.loads(out)
         assert doc["approximation"] == "21/13" and doc["steps_used"] == 6
@@ -203,72 +183,67 @@ class TestEvalCommand:
         ["certify", "-n", "1"],
         ["convergents", "-n", "1"],
     ], ids=["eval-long", "eval-1", "certify-0", "certify-1", "convergents-1"])
-    def test_repeat_reports_wrap_gap_violation(self, monkeypatch, capsys, argv):
+    def test_repeat_reports_wrap_gap_violation(self, argv):
         # b_2 + a_3 = b_2 + a_1 = 1 - 1 < 1 once the period wraps, which it
         # does however few terms the request reads.
         stdin = '{"b0":"0","terms":[{"a":-1,"b":"2"},{"a":1,"b":"1"}]}'
-        code, out = run_cli(monkeypatch, capsys, argv + ["--repeat"], stdin=stdin)
+        code, out, _ = run(argv + ["--repeat"], stdin=stdin)
         assert code == 1
         assert json.loads(out)["first_violation"] == {"index": 2, "reason": "GapViolation"}
 
-    def test_decimals_display(self, monkeypatch, capsys):
-        code, out = run_cli(
-            monkeypatch,
-            capsys,
-            ["eval", "--eps", "1/100", "--decimals", "4"],
-            stdin=GOLDEN_DOC,
-        )
+    def test_decimals_display(self):
+        code, out, _ = run(["eval", "--eps", "1/100", "--decimals", "4"], stdin=GOLDEN_DOC)
         assert code == 0
         assert json.loads(out)["decimal"] == "1.6154"
 
     @pytest.mark.parametrize("b0, decimal", [("-7/2", "-4"), ("-5/2", "-2"), ("5/2", "2")])
-    def test_decimals_zero_rounds_half_to_even(self, monkeypatch, capsys, b0, decimal):
+    def test_decimals_zero_rounds_half_to_even(self, b0, decimal):
         argv = ["eval", "--eps", "1/10", "--decimals", "0"]
         stdin = '{"b0":"%s","terms":[]}' % b0
-        code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        code, out, _ = run(argv, stdin=stdin)
         assert code == 0 and json.loads(out)["decimal"] == decimal
 
     def test_zero_max_steps_is_usage_error_before_stdin(self):
-        code, out, err = _main(["eval", "--eps", "1/10", "--max-steps", "0"], _UnreadableStdin())
+        code, out, err = run(["eval", "--eps", "1/10", "--max-steps", "0"], _UnreadableStdin())
         assert code == 2 and out == ""
         assert err == "error: --max-steps must be >= 1\n"
 
 
 class TestConvergentsCommand:
-    def test_listing(self, monkeypatch, capsys):
-        code, out = run_cli(monkeypatch, capsys, ["convergents", "-n", "3"], stdin=GOLDEN_DOC)
+    def test_listing(self):
+        code, out, _ = run(["convergents", "-n", "3"], stdin=GOLDEN_DOC)
         assert code == 0
         rows = json.loads(out)["convergents"]
         assert [r["q"] for r in rows] == ["1", "1", "2", "3"]
         assert rows[2]["value"] == "3/2"
 
-    def test_decimals_zero(self, monkeypatch, capsys):
+    def test_decimals_zero(self):
         stdin = '{"b0":"-4","terms":[{"a":1,"b":"2"},{"a":1,"b":"2"}]}'
         argv = ["convergents", "-n", "2", "--decimals", "0"]
-        code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+        code, out, _ = run(argv, stdin=stdin)
         rows = json.loads(out)["convergents"]
         assert code == 0
         assert [(r["value"], r["decimal"]) for r in rows] == [("-4", "-4"), ("-7/2", "-4"),
                                                               ("-18/5", "-4")]
 
-    def test_insufficient_terms(self, monkeypatch, capsys):
-        code, out = run_cli(monkeypatch, capsys, ["convergents", "-n", "99"], stdin=GOLDEN_DOC)
+    def test_insufficient_terms(self):
+        code, out, _ = run(["convergents", "-n", "99"], stdin=GOLDEN_DOC)
         assert code == 1
         assert json.loads(out)["error"] == "insufficient terms"
 
 
 class TestCertifyCommand:
-    def test_plus_anchor(self, monkeypatch, capsys):
-        code, out = run_cli(monkeypatch, capsys, ["certify", "-n", "4"], stdin=GOLDEN_DOC)
+    def test_plus_anchor(self):
+        code, out, _ = run(["certify", "-n", "4"], stdin=GOLDEN_DOC)
         assert code == 0
         doc = json.loads(out)
         assert doc["anchor"] == 3
         assert doc["regime"] == "PlusAnchor"
         assert Fraction(doc["bound"]) <= Fraction(2, 9)
 
-    def test_all_minus(self, monkeypatch, capsys):
+    def test_all_minus(self):
         stdin = serialize_cf(SemiRegularCF.from_pairs(2, [(-1, 2)] * 8))
-        code, out = run_cli(monkeypatch, capsys, ["certify", "-n", "5"], stdin=stdin)
+        code, out, _ = run(["certify", "-n", "5"], stdin=stdin)
         assert code == 0
         doc = json.loads(out)
         assert doc["anchor"] is None
@@ -277,16 +252,16 @@ class TestCertifyCommand:
 
 
 @pytest.mark.parametrize("argv", [["convergents", "-n", "5"], ["certify", "-n", "5"]])
-def test_an_invalid_document_is_refused_before_a_short_one(monkeypatch, capsys, argv):
+def test_an_invalid_document_is_refused_before_a_short_one(argv):
     stdin = '{"b0":"0","terms":[{"a":1,"b":"1/2"}]}'  # one term, and b_1 < 1
-    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    code, out, _ = run(argv, stdin=stdin)
     assert (code, out) == (
         1, '{"error":"invalid input","first_violation":{"index":1,"reason":"BTooSmall"}}\n')
 
 
 @pytest.mark.parametrize("argv", [["eval", "--eps", "1/100"], ["certify", "-n", "4"],
                                   ["convergents", "-n", "4"], ["check"]])
-def test_each_command_validates_its_document_once(monkeypatch, capsys, argv):
+def test_each_command_validates_its_document_once(monkeypatch, argv):
     calls, validate = [], core.validate
 
     def counting(cf):
@@ -297,13 +272,13 @@ def test_each_command_validates_its_document_once(monkeypatch, capsys, argv):
         if name.split(".")[0] == "semicf" and getattr(module, "validate", None) is validate:
             monkeypatch.setattr(module, "validate", counting)
     assert tails.validate is cli.validate is counting
-    code, out = run_cli(monkeypatch, capsys, argv, stdin=GOLDEN_DOC)
+    code, out, _ = run(argv, stdin=GOLDEN_DOC)
     assert code == 0 and len(calls) == 1
 
 
 class TestCheckCommand:
-    def test_valid_document_passes(self, monkeypatch, capsys):
-        code, out = run_cli(monkeypatch, capsys, ["check"], stdin=GOLDEN_DOC)
+    def test_valid_document_passes(self):
+        code, out, _ = run(["check"], stdin=GOLDEN_DOC)
         assert code == 0
         doc = json.loads(out)
         assert doc["valid"] is True
@@ -317,9 +292,9 @@ class TestCheckCommand:
             "error_bounds",
         }
 
-    def test_invalid_document_exit_1(self, monkeypatch, capsys):
+    def test_invalid_document_exit_1(self):
         stdin = '{"b0":"0","terms":[{"a":1,"b":"1/2"}]}'
-        code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
+        code, out, _ = run(["check"], stdin=stdin)
         assert code == 1
         doc = json.loads(out)
         assert doc["valid"] is False
@@ -367,8 +342,7 @@ INJECTED_FAULTS = [
     "check, module, func, index, bad", INJECTED_FAULTS,
     ids=[*cli.CHECKS, "series_step", "determinant_from_0"],
 )
-def test_check_reports_each_failure_on_its_own(monkeypatch, capsys, check, module, func,
-                                                index, bad):
+def test_check_reports_each_failure_on_its_own(monkeypatch, check, module, func, index, bad):
     """A fault in the call one check makes fails that check alone, first at its index.
 
     The fault goes into the module as cli sees it, so library functions that
@@ -377,7 +351,7 @@ def test_check_reports_each_failure_on_its_own(monkeypatch, capsys, check, modul
     view = SimpleNamespace(**vars(real_module))
     setattr(view, func, _fail_from(index, getattr(real_module, func), bad))
     monkeypatch.setattr(cli, module, view)
-    code, out = run_cli(monkeypatch, capsys, ["check"], stdin=CHECK_DOC)
+    code, out, _ = run(["check"], stdin=CHECK_DOC)
     assert code == 1
     doc = json.loads(out)
     assert [c["name"] for c in doc["checks"]] == list(cli.CHECKS)
@@ -386,7 +360,7 @@ def test_check_reports_each_failure_on_its_own(monkeypatch, capsys, check, modul
         assert (c["pass"], c["first_failure"]) == (expected is None, expected), c["name"]
 
 
-def test_check_starts_one_tail_sweep_per_end(monkeypatch, capsys):
+def test_check_starts_one_tail_sweep_per_end(monkeypatch):
     real_tail = tails.tail
     sweeps = []
 
@@ -397,7 +371,7 @@ def test_check_starts_one_tail_sweep_per_end(monkeypatch, capsys):
         return value
 
     monkeypatch.setattr(tails, "tail", tail)
-    code, _ = run_cli(monkeypatch, capsys, ["check"], stdin=CHECK_DOC)
+    code, _, _ = run(["check"], stdin=CHECK_DOC)
     assert code == 0
     assert len(sweeps) == CHECK_TAIL_HORIZON == 30
 
@@ -436,7 +410,7 @@ RATIONALS = [
 def test_golden_output_on_rational_documents(argv, stdin, digest):
     """The CLI's bytes on documents of rational b, pinned run by run, so that a
     changed byte names its command and document."""
-    code, out, err = _main(argv, stdin.encode())
+    code, out, err = run(argv, stdin.encode())
     assert (code, hashlib.sha256(out.encode()).hexdigest(), err) == (0, digest, "")
 
 
@@ -448,7 +422,7 @@ BAD_UTF8_ANSWER = ('{"error":"parse error","detail":"invalid JSON: \'utf-8\' cod
 @pytest.mark.parametrize("env", [{"PYTHONIOENCODING": "utf-8:strict"}, {"LC_ALL": "C"}],
                          ids=["strict-utf8", "C-locale"])
 def test_process_reads_stdin_as_bytes_whatever_its_encoding(env):
-    """A process's stdin decodes by its locale and PYTHONIOENCODING; main reads
+    """A process's stdin decodes by its locale and PYTHONIOENCODING; semicf reads
     the bytes under it, so both settings give the same parse error."""
     keep = {k: v for k, v in os.environ.items()
             if k not in ("PYTHONIOENCODING", "PYTHONUTF8", "LC_ALL", "LC_CTYPE", "LANG")}
@@ -469,7 +443,7 @@ class _FailingStdin(io.RawIOBase):
 
 
 def test_failed_stdin_read_is_a_parse_error():
-    code, out, _ = _main(["check"], io.BufferedReader(_FailingStdin()))
+    code, out, _ = run(["check"], io.BufferedReader(_FailingStdin()))
     assert (code, json.loads(out)) == (
         1, {"error": "parse error", "detail": f"cannot read stdin: {os.strerror(errno.EIO)}"})
 
@@ -507,6 +481,36 @@ def test_process_answers_failed_io_in_one_line(redirect, argv, out, err, unbuffe
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_process_answers_a_reader_that_leaves_mid_write(unbuffered):
+    """As `| head -c 5` leaves it: the reader takes 5 bytes of the golden
+    period's 1000 convergents, 456 KB, more than a pipe holds, and closes its
+    end while semicf is still writing.  The write that the close cuts short is
+    partial, and the one after it fails."""
+    args, env = _semicf_args("", ["convergents", "-n", "1000", "--repeat"], unbuffered)
+    with subprocess.Popen(args, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdin.write(GOLDEN_PERIOD)
+        proc.stdin.close()
+        proc.stdout.read(5)
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (1, _write_failed(errno.EPIPE))
+
+
+def test_process_writes_non_ascii_argv_back_in_its_bytes():
+    """argv decodes with surrogateescape and stderr encodes with
+    backslashreplace, so the usage error shows the byte 0xff as the text
+    \\udcff and é as its own UTF-8 bytes."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("PYTHONIOENCODING", "LC_ALL", "LC_CTYPE", "LANG")}
+    env.update(PYTHONUTF8="1", PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "semicf.cli", "check", b"\xff", "é"],
+                          input=b"", capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines(keepends=True)[-1] == (
+        b"semicf: error: unrecognized arguments: \\udcff \xc3\xa9\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "redirect, argv, code",
     [
@@ -519,39 +523,45 @@ def test_process_answers_failed_io_in_one_line(redirect, argv, out, err, unbuffe
 )
 def test_failed_write_to_stderr_keeps_the_exit_code(redirect, argv, code, unbuffered):
     """With stderr on a full device, what semicf says there is lost, but the
-    exit code is main's, or 1 when stdout fails too, and stdout is unchanged."""
+    exit code is answer's, or 1 when stdout fails too, and stdout is unchanged."""
     proc = _semicf_process(redirect, argv, unbuffered)
-    expected = _main(argv, GOLDEN_PERIOD)[1].encode() if code == 0 else b""
+    expected = run(argv, GOLDEN_PERIOD)[1].encode() if code == 0 else b""
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, expected, b"")
 
 
 GOLDEN_PERIOD = b'{"b0":"1","terms":[{"a":1,"b":"1"}]}'
 
 
-def _semicf_process(redirect, argv, unbuffered, stdout=subprocess.PIPE):
-    """`python -m semicf.cli argv` on the golden period, started by sh with the
-    redirection applied, with or without PYTHONUNBUFFERED."""
+def _semicf_args(redirect, argv, unbuffered):
+    """Popen's args and env for `python -m semicf.cli argv`, started by sh with
+    the redirection applied, with or without PYTHONUNBUFFERED."""
     if "/dev/full" in redirect and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return subprocess.run(
-        ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "semicf.cli", *argv],
-        input=GOLDEN_PERIOD, stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+    return ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "semicf.cli",
+            *argv], env
 
 
-def test_usage_error_exit_2(monkeypatch, capsys):
-    code, _ = run_cli(monkeypatch, capsys, ["nope"])
+def _semicf_process(redirect, argv, unbuffered, stdout=subprocess.PIPE):
+    """The semicf process of _semicf_args, run to its end on the golden period."""
+    args, env = _semicf_args(redirect, argv, unbuffered)
+    return subprocess.run(args, input=GOLDEN_PERIOD, stdout=stdout, stderr=subprocess.PIPE,
+                          env=env, timeout=60)
+
+
+def test_usage_error_exit_2():
+    code, _, _ = run(["nope"])
     assert code == 2
 
 
 class _UnreadableStdin(io.BytesIO):
-    """The bytes under stdin; reading them, as text or as bytes, fails."""
+    """A stdin whose read fails: where argv alone decides the answer, it is never read."""
 
     def read(self, *args):
-        raise AssertionError("stdin read before the arguments were checked")
+        raise AssertionError("stdin read where argv alone decides the answer")
 
 
 @pytest.mark.parametrize(
@@ -564,7 +574,7 @@ class _UnreadableStdin(io.BytesIO):
     ],
 )
 def test_negative_counts_are_usage_errors(argv, flag):
-    code, out, err = _main(argv, _UnreadableStdin())
+    code, out, err = run(argv, _UnreadableStdin())
     assert code == 2
     assert out == ""
     assert f"argument {flag}: must be >= 0" in err
@@ -580,16 +590,28 @@ def test_negative_counts_are_usage_errors(argv, flag):
     ids=["eval", "convergents", "certify"],
 )
 def test_horizons_beyond_maxsize_are_usage_errors(argv, flag):
-    code, out, err = _main(argv, _UnreadableStdin())
+    code, out, err = run(argv, _UnreadableStdin())
     assert code == 2
     assert out == ""
     assert f"argument {flag}: must be >= 0 and < {sys.maxsize}" in err
 
 
-def test_largest_accepted_horizon(monkeypatch, capsys):
-    code, out = run_cli(
-        monkeypatch, capsys, ["certify", "-n", str(sys.maxsize - 1)], stdin=GOLDEN_DOC
-    )
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["expand", "--algo", "regular", "7/3"], '{"b0":"2","terms":[{"a":1,"b":"3"}]}\n'),
+        (["--help"], "usage: semicf "),
+        (["eval", "-h"], "usage: semicf eval "),
+    ],
+    ids=["expand", "help", "eval-help"],
+)
+def test_answers_without_a_document_leave_stdin_unread(argv, start):
+    code, out, err = run(argv, _UnreadableStdin())
+    assert (code, out.startswith(start), err) == (0, True, "")
+
+
+def test_largest_accepted_horizon():
+    code, out, _ = run(["certify", "-n", str(sys.maxsize - 1)], stdin=GOLDEN_DOC)
     assert code == 1
     assert json.loads(out) == {"error": "insufficient terms", "available": 8}
 
@@ -607,14 +629,14 @@ HUGE = "1" * 5000  # over Python's default 4300-digit int/str conversion limit
     ],
     ids=["b0", "b0-json-number", "b", "eps"],
 )
-def test_oversized_numbers_are_parse_errors(monkeypatch, capsys, argv, stdin):
-    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+def test_oversized_numbers_are_parse_errors(argv, stdin):
+    code, out, _ = run(argv, stdin=stdin)
     assert code == 1
     assert json.loads(out)["error"] == "parse error"
 
 
-def test_oversized_expand_argument_is_usage_error(monkeypatch, capsys):
-    code, out = run_cli(monkeypatch, capsys, ["expand", "--algo", "regular", HUGE])
+def test_oversized_expand_argument_is_usage_error():
+    code, out, _ = run(["expand", "--algo", "regular", HUGE])
     assert code == 2
     assert out == ""
 
@@ -628,9 +650,8 @@ def test_oversized_expand_argument_is_usage_error(monkeypatch, capsys):
     ],
     ids=["b0", "b", "eps"],
 )
-def test_rational_with_a_trailing_newline_is_a_parse_error(monkeypatch, capsys, argv, stdin,
-                                                           where):
-    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+def test_rational_with_a_trailing_newline_is_a_parse_error(argv, stdin, where):
+    code, out, _ = run(argv, stdin=stdin)
     assert code == 1
     doc = json.loads(out)
     assert doc["error"] == "parse error"
@@ -638,16 +659,15 @@ def test_rational_with_a_trailing_newline_is_a_parse_error(monkeypatch, capsys, 
                         doc["detail"])
 
 
-def test_expand_argument_with_a_trailing_newline_is_usage_error(capsys):
-    code = main(["expand", "--algo", "regular", "7/3\n"])
-    captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
-    assert captured.err == "error: value: expected a rational string like '7/3', got '7/3\\n'\n"
+def test_expand_argument_with_a_trailing_newline_is_usage_error():
+    code, out, err = run(["expand", "--algo", "regular", "7/3\n"])
+    assert code == 2 and out == ""
+    assert err == "error: value: expected a rational string like '7/3', got '7/3\\n'\n"
 
 
 def test_negative_expand_argument_without_double_dash_is_usage_error():
     """argparse reads -7/3 as an option, so README puts a negative argument after "--"."""
-    code, out, err = _main(["expand", "--algo", "regular", "-7/3"])
+    code, out, err = run(["expand", "--algo", "regular", "-7/3"])
     assert (code, out) == (2, "")
     assert "the following arguments are required: value" in err
 
@@ -657,10 +677,10 @@ def _assert_output_too_large(code, out):
     assert json.loads(out)["error"] == "output too large"
 
 
-def test_convergents_over_the_digit_limit(monkeypatch, capsys):
+def test_convergents_over_the_digit_limit():
     big = "9" * 4000  # p_2 = b_1 b_2 + 1 has about 8000 digits
     stdin = '{"b0":"0","terms":[{"a":1,"b":"%s"},{"a":1,"b":"%s"}]}' % (big, big)
-    code, out = run_cli(monkeypatch, capsys, ["convergents", "-n", "2"], stdin=stdin)
+    code, out, _ = run(["convergents", "-n", "2"], stdin=stdin)
     _assert_output_too_large(code, out)
 
 
@@ -677,101 +697,101 @@ def test_convergents_stops_at_the_first_row_too_large_to_print():
                                                  b'(PYTHONINTMAXSTRDIGITS)"}\n')
 
 
-def test_budget_exhausted_over_the_digit_limit(monkeypatch, capsys):
+def test_budget_exhausted_over_the_digit_limit():
     # b_1 = X/Y has 4000-digit parts; best_bound 1/q_1^2 = Y^2/X^2 has about 8000.
     x, y = 2 * 10**3999 + 1, 10**3999
     stdin = '{"b0":"0","terms":[{"a":1,"b":"%d/%d"},{"a":1,"b":"1"}]}' % (x, y)
     argv = ["eval", "--eps", "1/100", "--max-steps", "1"]
-    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    code, out, _ = run(argv, stdin=stdin)
     _assert_output_too_large(code, out)
 
 
 @pytest.mark.parametrize("decimals", [5000, 10**7, sys.maxsize - 1])
-def test_decimals_over_the_digit_limit(monkeypatch, capsys, decimals):
+def test_decimals_over_the_digit_limit(decimals):
     stdin = '{"b0":"1","terms":[{"a":1,"b":"1"}]}'
     argv = ["eval", "--eps", "1/100", "--repeat", "--decimals", str(decimals)]
     start = time.perf_counter()
-    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    code, out, _ = run(argv, stdin=stdin)
     assert time.perf_counter() - start < 1  # the power of ten is never built
     _assert_output_too_large(code, out)
 
 
-def test_decimals_beyond_the_digit_limit_that_fit(monkeypatch, capsys):
+def test_decimals_beyond_the_digit_limit_that_fit():
     # 10**-4000 to 5000 places: 10**1000 has 1001 digits, inside the limit.
     stdin = '{"b0":"0","terms":[{"a":1,"b":"1%s"}]}' % ("0" * 4000)
     argv = ["eval", "--eps", "1/100", "--decimals", "5000"]
-    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    code, out, _ = run(argv, stdin=stdin)
     assert code == 0
     assert json.loads(out)["decimal"] == "0." + "0" * 3999 + "1" + "0" * 1000
 
 
-def test_zero_prints_up_to_the_decimals_cap(monkeypatch, capsys):
+def test_zero_prints_up_to_the_decimals_cap():
     # Zero is capped like any value: at the limit plus its denominator's one bit.
     places = sys.get_int_max_str_digits() + 1
     argv = ["eval", "--eps", "1/100", "--decimals", str(places)]
-    code, out = run_cli(monkeypatch, capsys, argv, stdin='{"b0":"0","terms":[]}')
+    code, out, _ = run(argv, stdin='{"b0":"0","terms":[]}')
     assert code == 0
     assert json.loads(out)["decimal"] == "0." + "0" * places
     argv[-1] = str(places + 1)
-    code, out = run_cli(monkeypatch, capsys, argv, stdin='{"b0":"0","terms":[]}')
+    code, out, _ = run(argv, stdin='{"b0":"0","terms":[]}')
     _assert_output_too_large(code, out)
 
 
-def test_zero_over_the_decimals_cap_answers_at_once(monkeypatch, capsys):
+def test_zero_over_the_decimals_cap_answers_at_once():
     argv = ["eval", "--eps", "1/10", "--decimals", str(10**9)]
     start = time.perf_counter()
-    code, out = run_cli(monkeypatch, capsys, argv, stdin='{"b0":"0","terms":[]}')
+    code, out, _ = run(argv, stdin='{"b0":"0","terms":[]}')
     assert time.perf_counter() - start < 1  # no billion-character string is built
     _assert_output_too_large(code, out)
 
 
-def test_decimals_whose_digits_str_cannot_convert(monkeypatch, capsys):
+def test_decimals_whose_digits_str_cannot_convert():
     # 4401 digits: within the cap that bounds places, over what str() converts.
     stdin = '{"b0":"%s","terms":[]}' % ("9" * 4001)
     argv = ["eval", "--eps", "1/10", "--decimals", "400"]
-    code, out = run_cli(monkeypatch, capsys, argv, stdin=stdin)
+    code, out, _ = run(argv, stdin=stdin)
     _assert_output_too_large(code, out)
 
 
-def test_expand_stops_at_the_term_cap(monkeypatch, capsys):
+def test_expand_stops_at_the_term_cap():
     # The negative expansion of 1/N has N - 1 terms, all 2.
     argv = ["expand", "--algo", "negative", f"1/{10**12}"]
     start = time.perf_counter()
-    code, out = run_cli(monkeypatch, capsys, argv)
+    code, out, _ = run(argv)
     assert time.perf_counter() - start < 1  # the loop stops one term past the cap
     _assert_output_too_large(code, out)
     assert str(cli.EXPAND_MAX_TERMS) in json.loads(out)["detail"]
 
 
-def test_expand_term_cap_boundary(monkeypatch, capsys):
+def test_expand_term_cap_boundary(monkeypatch):
     monkeypatch.setattr(cli, "EXPAND_MAX_TERMS", 5)
-    code, out = run_cli(monkeypatch, capsys, ["expand", "--algo", "negative", "1/6"])
+    code, out, _ = run(["expand", "--algo", "negative", "1/6"])
     assert code == 0 and len(json.loads(out)["terms"]) == 5
-    code, out = run_cli(monkeypatch, capsys, ["expand", "--algo", "negative", "1/7"])
+    code, out, _ = run(["expand", "--algo", "negative", "1/7"])
     _assert_output_too_large(code, out)
 
 
-def test_check_refuses_a_document_over_the_term_budget(monkeypatch, capsys):
+def test_check_refuses_a_document_over_the_term_budget():
     stdin = serialize_cf(golden(2001))
     start = time.perf_counter()
-    code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
+    code, out, _ = run(["check"], stdin=stdin)
     assert time.perf_counter() - start < 1  # refused before any check runs
     doc = json.loads(out)
     assert code == 1 and doc["error"] == "input too large"
     assert "2000" in doc["detail"]
 
 
-def test_check_runs_a_document_at_the_term_budget(monkeypatch, capsys):
+def test_check_runs_a_document_at_the_term_budget():
     stdin = serialize_cf(golden(2000))
-    code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
+    code, out, _ = run(["check"], stdin=stdin)
     doc = json.loads(out)
     assert code == 0 and doc["valid"] is True
     assert [c["pass"] for c in doc["checks"]] == [True] * len(cli.CHECKS)
 
 
-def test_check_reports_an_invalid_document_over_the_term_budget(monkeypatch, capsys):
+def test_check_reports_an_invalid_document_over_the_term_budget():
     stdin = serialize_cf(SemiRegularCF.from_pairs(0, [(1, Fraction(1, 2))] * 2001))
-    code, out = run_cli(monkeypatch, capsys, ["check"], stdin=stdin)
+    code, out, _ = run(["check"], stdin=stdin)
     assert code == 1
     assert json.loads(out)["first_violation"] == {"index": 1, "reason": "BTooSmall"}
 
@@ -836,9 +856,9 @@ def cli_argv(draw):
 @given(argv=cli_argv(),
        stdin=st.one_of(DOCUMENT, odd_document(), st.text(max_size=60), st.binary(max_size=60)))
 def test_cli_is_total(argv, stdin):
-    """Whatever argv and stdin, main exits 0..3, answers with one JSON line on
+    """Whatever argv and stdin, answer exits 0..3, answers with one JSON line on
     stdout (usage errors: a message on stderr instead), and never a traceback."""
-    code, out, err = _main(argv, stdin.encode() if isinstance(stdin, str) else stdin)
+    code, out, err = run(argv, stdin.encode() if isinstance(stdin, str) else stdin)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in out + err
     if code == 2:
@@ -860,7 +880,7 @@ def test_repeat_verdict_does_not_depend_on_n(b0, period):
     stdin = serialize_cf(SemiRegularCF.from_pairs(b0, period)).encode()
 
     def certify(n):
-        code, out, _ = _main(["certify", "-n", str(n), "--repeat"], stdin)
+        code, out, _ = run(["certify", "-n", str(n), "--repeat"], stdin)
         return code, json.loads(out)
 
     def convergent(d):
@@ -928,8 +948,8 @@ def test_cli_is_total_at_the_digit_limit(argv, stdin):
     test_cli_is_total.hypothesis.inner_test(argv, stdin)
 
 
-def test_output_too_large_answer(monkeypatch, capsys):
-    code, out = run_cli(monkeypatch, capsys, ["convergents", "-n", "1"], stdin=LONG_DOC)
+def test_output_too_large_answer():
+    code, out, _ = run(["convergents", "-n", "1"], stdin=LONG_DOC)
     detail = f"a number in the result has over {sys.get_int_max_str_digits()} digits"
     assert code == 1
     assert json.loads(out) == {"error": "output too large",

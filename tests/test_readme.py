@@ -5,7 +5,7 @@ in README's CLI section.  An example is its command lines, joined at `\\`
 continuations, and the `# ` output line that follows them; examples are
 separated by blank lines.  Its exit code is the `(exit N)` in the comment
 above it, or 0 where the comment has none.  A command is `semicf ARGS` or
-`echo 'DOC' | semicf ARGS`.  The examples run through semicf.cli.main in this
+`echo 'DOC' | semicf ARGS`.  The examples run through semicf.cli.answer in this
 process, or, given `script`, through that console script, one process each.
 Either way an example must print its output line's bytes on stdout, nothing
 on stderr, and exit with its code.  The module needs no pytest, so any

@@ -82,7 +82,7 @@ DIGESTS = {
 
 
 def _run(argv, stdin=""):
-    """main(argv) in this process, as one JSON line [exit code, stdout, stderr]."""
+    """answer(argv, stdin) in this process, as one JSON line [exit code, stdout, stderr]."""
     return json.dumps(run(argv, stdin.encode())) + "\n"
 
 
