@@ -116,15 +116,18 @@ class SemiRegularCF(_Frozen):
 
     _fields = __match_args__ = ("b0", "terms")
     # A memo freed with the sequence: _states[k] is the recurrence window after
-    # terms 1..k, and _sweep the latest tail sweep (end, xs), kept by tails,
-    # with xs[j] the tail x_{end-j-1, j+1} as an unreduced integer pair.
-    __slots__ = _fields + ("_states", "_sweep", "__weakref__")
+    # terms 1..k; _sums[k], once series_partial_sum has checked index k, is the
+    # series numerator N_k over _states[k].Q_cur; and _sweep the latest tail
+    # sweep (end, xs), kept by tails, with xs[j] the tail x_{end-j-1, j+1} as an
+    # unreduced integer pair.
+    __slots__ = _fields + ("_states", "_sums", "_sweep", "__weakref__")
 
     def __init__(self, b0: RationalLike, terms: Sequence = ()) -> None:
         b0 = b0 if type(b0) is Fraction else Fraction(b0)
         _set(self, "b0", b0)
         _set(self, "terms", terms if isinstance(terms, PeriodicTerms) else tuple(terms))
         _set(self, "_states", [init_state(b0)])
+        _set(self, "_sums", None)
         _set(self, "_sweep", None)
 
     @classmethod
@@ -249,15 +252,14 @@ def step(s: ConvergentState, t: Term) -> ConvergentState:
     For b = u/v the new window is (v*P_cur, u*P_cur + a*v*P_prev) over
     scale*v, the same for Q.  Unchecked: evaluate and certify validate first.
     """
-    u, v = t.b.numerator, t.b.denominator
+    n, P_prev, P_cur, Q_prev, Q_cur, scale, det = s
+    a, (u, v) = t.a, t.b.as_integer_ratio()
     if v == 1:  # the new window shares P_cur and Q_cur with s instead of copying them
-        return ConvergentState(s.n + 1, s.P_cur, u * s.P_cur + t.a * s.P_prev,
-                               s.Q_cur, u * s.Q_cur + t.a * s.Q_prev,
-                               s.scale, -s.det * t.a)
-    av = t.a * v
-    return ConvergentState(s.n + 1, v * s.P_cur, u * s.P_cur + av * s.P_prev,
-                           v * s.Q_cur, u * s.Q_cur + av * s.Q_prev,
-                           s.scale * v, -s.det * t.a)
+        return ConvergentState(n + 1, P_cur, u * P_cur + a * P_prev,
+                               Q_cur, u * Q_cur + a * Q_prev, scale, -det * a)
+    av = a * v
+    return ConvergentState(n + 1, v * P_cur, u * P_cur + av * P_prev,
+                           v * Q_cur, u * Q_cur + av * Q_prev, scale * v, -det * a)
 
 
 def iter_states(cf: SemiRegularCF, upto: Optional[int] = None) -> Iterator[ConvergentState]:
@@ -311,8 +313,8 @@ def _series_step(s: ConvergentState, prev: ConvergentState, num: int) -> Tuple[i
     from num = N_{n-1} (N_0 is b0's numerator).  As s.Q_prev = v * prev.Q_cur for
     b_n's denominator v, N_n = (num v Q_cur + det scale^2) / Q_prev; states that
     obey the recurrence leave no remainder, since then N_n = scale * p_n."""
-    return divmod(num * (s.scale // prev.scale) * s.Q_cur + s.det * s.scale * s.scale,
-                  s.Q_prev)
+    _, _, _, Q_prev, Q_cur, scale, det = s
+    return divmod(num * (scale // prev.scale) * Q_cur + det * scale * scale, Q_prev)
 
 
 def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
@@ -320,14 +322,21 @@ def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
 
     Each term is (-1)^{k-1} a_1...a_k / (q_{k-1} q_k); the partial sum equals
     convergent(cf, n) exactly.  The sum is an integer over the scaled q_k, so a
-    term costs one exact division and no gcd; a remainder raises IdentityViolation.
+    term costs one exact division and no gcd; a remainder raises IdentityViolation
+    and is not kept.  cf's memo keeps the checked sums, so a repeated query steps
+    through no term and a deeper one only through its new terms.
     """
-    states, num = _states_through(cf, _index(cf, n)), cf.b0.numerator
-    for prev, s in zip(states[:n], states[1:n + 1]):
-        num, r = _series_step(s, prev, num)
+    states, sums = _states_through(cf, _index(cf, n)), cf._sums
+    if sums is None:
+        sums = [cf.b0.numerator]
+        _set(cf, "_sums", sums)
+    # Test the length read and write slot k, as _states_through does.
+    while (k := len(sums)) <= n:
+        num, r = _series_step(states[k], states[k - 1], sums[k - 1])
         if r:
-            raise IdentityViolation(f"series term {s.n} leaves remainder {r}")
-    return Fraction(num, states[n].Q_cur)
+            raise IdentityViolation(f"series term {k} leaves remainder {r}")
+        sums[k:k + 1] = [num]
+    return Fraction(sums[n], states[n].Q_cur)
 
 
 def gap(s: ConvergentState, a_next: int) -> Fraction:

@@ -28,7 +28,7 @@ def fold_eval(cf: SemiRegularCF, n: Optional[int] = None) -> Fraction:
         raise InsufficientTerms(f"index {n} outside 0..{len(cf)}", len(cf))
     r, s = 0, 1
     for i, t in zip(range(n, 0, -1), reversed(cf.terms[:n])):
-        u, v = t.b.numerator, t.b.denominator
+        u, v = t.b.as_integer_ratio()
         den = u * s + v * r
         if den == 0:
             raise ZeroDenominator(i)

@@ -102,7 +102,7 @@ def _tail_pair(cf: SemiRegularCF, n: int, k: int) -> Tuple[int, int]:
         m = end - j  # x_{m-1, j+1} = a_m / (b_m + x_{m, j}), with x_{m, 0} = 0
         r, s = xs[j - 1] if j else (0, 1)
         t = cf.term(m)
-        u, v = t.b.numerator, t.b.denominator
+        u, v = t.b.as_integer_ratio()
         den = u * s + v * r  # v s (b_m + x_{m, j})
         if den < v * s:
             raise DenominatorBelowOne(f"b_{m} + x_{m},{j} = {_show(Fraction(den, v * s))} < 1")
@@ -128,12 +128,12 @@ def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
     """
     r, t = _tail_pair(cf, n, k)
     states = _states_through(cf, n + k)
-    s, deep = states[n], states[n + k]
-    num, den = t * s.P_cur + r * s.P_prev, t * s.Q_cur + r * s.Q_prev
-    if num * deep.Q_cur != den * deep.P_cur:
-        raise IdentityViolation(
-            f"shift value {Fraction(num, den)} != convergent {deep.value} at n={n}, k={k}"
-        )
+    _, P_prev, P_cur, Q_prev, Q_cur, _, _ = states[n]
+    _, _, deep_P, _, deep_Q, _, _ = states[n + k]
+    num, den = t * P_cur + r * P_prev, t * Q_cur + r * Q_prev
+    if num * deep_Q != den * deep_P:
+        raise IdentityViolation(f"shift value {Fraction(num, den)} != convergent "
+                                f"{Fraction(deep_P, deep_Q)} at n={n}, k={k}")
     return Fraction(num, den)
 
 
@@ -144,11 +144,12 @@ def error_bound(cf: SemiRegularCF, n: int, k: int) -> Fraction:
     """
     r, t = _tail_pair(cf, n, k)
     states = _states_through(cf, n + k)
-    s, deep = states[n], states[n + k]
-    bound = Fraction(t * s.scale * s.scale, s.Q_cur * abs(t * s.Q_cur + r * s.Q_prev))
+    _, _, P_cur, Q_prev, Q_cur, scale, _ = states[n]
+    _, _, deep_P, _, deep_Q, _, _ = states[n + k]
+    bound = Fraction(t * scale * scale, Q_cur * abs(t * Q_cur + r * Q_prev))
     # |p_{n+k}/q_{n+k} - p_n/q_n| = gap / gap_den
-    gap = abs(deep.P_cur * s.Q_cur - s.P_cur * deep.Q_cur)
-    gap_den = abs(deep.Q_cur * s.Q_cur)
+    gap = abs(deep_P * Q_cur - P_cur * deep_Q)
+    gap_den = abs(deep_Q * Q_cur)
     if gap * bound.denominator > bound.numerator * gap_den:
         raise IdentityViolation(
             f"convergent gap {Fraction(gap, gap_den)} exceeds bound {bound} at n={n}, k={k}"
@@ -158,13 +159,14 @@ def error_bound(cf: SemiRegularCF, n: int, k: int) -> Fraction:
 
 def _uniform_bound(s: ConvergentState, a_next: int) -> Tuple[int, int]:
     """The uniform bound at s as an integer pair (numerator, positive denominator)."""
-    d = s.Q_cur if a_next == 1 else s.Q_cur - s.Q_prev  # scale * D_n
-    if d < s.scale:
+    n, _, _, Q_prev, Q_cur, scale, _ = s
+    d = Q_cur if a_next == 1 else Q_cur - Q_prev  # scale * D_n
+    if d < scale:
         raise IdentityViolation(
-            f"uniform-bound denominator {_show(Fraction(d, s.scale))} < 1 at n={s.n} "
+            f"uniform-bound denominator {_show(Fraction(d, scale))} < 1 at n={n} "
             "(invalid sequence?)"
         )
-    return s.scale * s.scale, s.Q_cur * d
+    return scale * scale, Q_cur * d
 
 
 def uniform_step_bound(cf: SemiRegularCF, n: int) -> Fraction:

@@ -398,6 +398,7 @@ def test_threads_sharing_a_sequence_extend_its_states_in_place():
     cf = random_tietze(RandomSpec(seed=11, length=200))
     fresh = SemiRegularCF(cf.b0, cf.terms)
     expected = [state_at(fresh, n) for n in range(201)]
+    sums = [series_partial_sum(fresh, n) for n in range(201)]
     wrong = []
     errors = []
 
@@ -407,6 +408,9 @@ def test_threads_sharing_a_sequence_extend_its_states_in_place():
             for _ in range(100):
                 n = rng.randint(0, 200)
                 if state_at(cf, n) != expected[n]:
+                    wrong.append(n)
+                n = rng.randint(0, 200)
+                if series_partial_sum(cf, n) != sums[n]:
                     wrong.append(n)
         except BaseException as exc:  # an exception would otherwise end the thread unseen
             errors.append(exc)
@@ -425,6 +429,7 @@ def test_threads_sharing_a_sequence_extend_its_states_in_place():
     assert errors == []
     assert wrong == []
     assert [state_at(cf, n) for n in range(201)] == expected
+    assert [series_partial_sum(cf, n) for n in range(201)] == sums
 
 
 @settings(deadline=None, max_examples=200)

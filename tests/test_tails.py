@@ -31,6 +31,7 @@ from semicf import (
     tail,
     uniform_step_bound,
 )
+from semicf import core
 from semicf.errors import InsufficientTerms
 
 from conftest import all_minus_two, corpus_cf, golden
@@ -304,9 +305,25 @@ class TestMemo:
         state_at(cf, len(cf))
         tail(cf, 0, len(cf))
         certify(cf, len(cf) - 1)
+        series_partial_sum(cf, len(cf))
         del cf
         gc.collect()
         assert ref() is None
+
+    def test_series_queries_step_only_through_unchecked_terms(self, monkeypatch):
+        steps, series_step = [], core._series_step
+
+        def counted(s, prev, num):
+            steps.append(s.n)
+            return series_step(s, prev, num)
+
+        monkeypatch.setattr(core, "_series_step", counted)
+        cf = corpus_cf(7)  # 50 terms of rational b
+        series_partial_sum(cf, 40)
+        for n, new in [(40, 0), (45, 5), (10, 0)]:
+            steps.clear()
+            assert series_partial_sum(cf, n) == convergent(cf, n)
+            assert len(steps) == new, n
 
     def test_tail_costs_its_depth_not_its_start(self):
         cf = SemiRegularCF.periodic(1, [(1, 1)], 10**12)
@@ -370,6 +387,9 @@ def test_tail_queries_match_the_independent_oracle(seed, length, integer_only):
             assert x == fold_eval(SemiRegularCF(0, cf.terms[n:n + k]))
             assert shift_check(cf, n, k) == fold_eval(cf, end)
             assert error_bound(cf, n, k) == 1 / (q[n + 1] * abs(q[n + 1] + x * q[n]))
+    for n in range(length):
+        d = q[n + 1] if cf.a(n + 1) == 1 else q[n + 1] - q[n]  # D_n
+        assert uniform_step_bound(cf, n) == 1 / (q[n + 1] * d)
 
 
 def test_threads_sharing_one_sweep_answer_as_a_fresh_sequence():
