@@ -258,7 +258,9 @@ def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
         if n <= CHECK_TAIL_HORIZON:
             for m in range(n):
                 k = n - m
-                run("tail_bounds", n, lambda: 0 < tails.tail(cf, m, k).value * cf.a(m + 1) <= 1)
+                # 0 < a_{m+1} x_{m,k} <= 1 on the unreduced pair (r, s) of x, s > 0
+                run("tail_bounds", n,
+                    lambda: 0 < cf.a(m + 1) * (rs := tails._tail_pair(cf, m, k))[0] <= rs[1])
                 run("shift_identity", n, lambda: tails.shift_check(cf, m, k))
                 run("error_bounds", n,
                     lambda: tails.error_bound(cf, m, k) <= tails.uniform_step_bound(cf, m))

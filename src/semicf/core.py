@@ -119,8 +119,10 @@ class SemiRegularCF(_Frozen):
     # terms 1..k; _sums[k], once series_partial_sum has checked index k, is the
     # series numerator N_k over _states[k].Q_cur; and _sweep the latest tail
     # sweep (end, xs), kept by tails, with xs[j] the tail x_{end-j-1, j+1} as an
-    # unreduced integer pair.
-    __slots__ = _fields + ("_states", "_sums", "_sweep", "__weakref__")
+    # unreduced integer pair.  tails also keeps two dicts of reduced Fractions,
+    # holding only the indices asked for: _shifts[m], the value shift_check
+    # returned for end m, and _bounds[n], the checked uniform_step_bound at n.
+    __slots__ = _fields + ("_states", "_sums", "_sweep", "_shifts", "_bounds", "__weakref__")
 
     def __init__(self, b0: RationalLike, terms: Sequence = ()) -> None:
         b0 = b0 if type(b0) is Fraction else Fraction(b0)
@@ -129,6 +131,8 @@ class SemiRegularCF(_Frozen):
         _set(self, "_states", [init_state(b0)])
         _set(self, "_sums", None)
         _set(self, "_sweep", None)
+        _set(self, "_shifts", None)
+        _set(self, "_bounds", None)
 
     @classmethod
     def from_pairs(

@@ -32,6 +32,7 @@ from .core import (
     RationalLike,
     SemiRegularCF,
     _index,
+    _set,
     _states_through,
     iter_states,
     state_at,
@@ -85,23 +86,23 @@ def _tail_pair(cf: SemiRegularCF, n: int, k: int) -> Tuple[int, int]:
 
     cf keeps the sweep of its latest end n + k: entry j of it is
     x_{end-j-1, j+1}, extended back on demand, so the queries of one end
-    share one sweep of the largest depth they ask for.
+    share one sweep of the largest depth they ask for.  The end is checked
+    when its sweep starts; cf is immutable, so a kept sweep's end stays valid.
     """
     if k < 1:
         raise ValueError("tail depth k must be >= 1")
     if n < 0:
         raise ValueError("tail start index n must be >= 0")
-    end = _index(cf, n + k)
-    memo = cf._sweep
+    end, memo = n + k, cf._sweep
     if memo is None or memo[0] != end:
-        memo = (end, [])
-        object.__setattr__(cf, "_sweep", memo)
-    xs = memo[1]
+        memo = (_index(cf, end), [])
+        _set(cf, "_sweep", memo)
+    xs, terms = memo[1], cf.terms
     # Test the length read, since another thread may extend xs at any time.
     while (j := len(xs)) < k:
         m = end - j  # x_{m-1, j+1} = a_m / (b_m + x_{m, j}), with x_{m, 0} = 0
         r, s = xs[j - 1] if j else (0, 1)
-        t = cf.term(m)
+        t = terms[m - 1]  # n < m <= end
         u, v = t.b.as_integer_ratio()
         den = u * s + v * r  # v s (b_m + x_{m, j})
         if den < v * s:
@@ -121,10 +122,18 @@ def tail(cf: SemiRegularCF, n: int, k: int) -> TailValue:
     return TailValue(n, k, Fraction(*_tail_pair(cf, n, k)))
 
 
+def _memo(cf: SemiRegularCF, slot: str) -> dict:
+    """cf's memo dict in slot, made on first use."""
+    if getattr(cf, slot) is None:
+        _set(cf, slot, {})
+    return getattr(cf, slot)
+
+
 def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
     """(p_n + x_{n,k} p_{n-1}) / (q_n + x_{n,k} q_{n-1}).
 
-    Asserts exact equality with convergent(cf, n+k).
+    Asserts exact equality with convergent(cf, n+k) on every call; cf's memo
+    keeps the value of each end that passed, so a repeat builds no Fraction.
     """
     r, t = _tail_pair(cf, n, k)
     states = _states_through(cf, n + k)
@@ -134,7 +143,10 @@ def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
     if num * deep_Q != den * deep_P:
         raise IdentityViolation(f"shift value {Fraction(num, den)} != convergent "
                                 f"{Fraction(deep_P, deep_Q)} at n={n}, k={k}")
-    return Fraction(num, den)
+    shifts = _memo(cf, "_shifts")
+    if (value := shifts.get(n + k)) is None:
+        value = shifts[n + k] = Fraction(num, den)
+    return value
 
 
 def error_bound(cf: SemiRegularCF, n: int, k: int) -> Fraction:
@@ -174,8 +186,12 @@ def uniform_step_bound(cf: SemiRegularCF, n: int) -> Fraction:
 
     Equals 1/(q_n * D_n) with D_n = q_n when a_{n+1} = +1 and
     D_n = q_n - q_{n-1} otherwise; see the module docstring for why D_n >= 1.
+    cf's memo keeps each checked bound, so a repeat builds no Fraction.
     """
-    return Fraction(*_uniform_bound(state_at(cf, n), cf.a(n + 1)))
+    bounds = _memo(cf, "_bounds")
+    if (bound := bounds.get(n)) is None:
+        bound = bounds[n] = Fraction(*_uniform_bound(state_at(cf, n), cf.a(n + 1)))
+    return bound
 
 
 def anchor_index(cf: SemiRegularCF, n: int) -> Optional[int]:

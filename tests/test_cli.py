@@ -328,8 +328,8 @@ INJECTED_FAULTS = [
     ("lemma1", "core", "gap", 3, lambda real, s, a: Fraction(0)),
     ("determinant", "core", "determinant_check", 4, _raise),
     ("series_equivalence", "oracle", "fold_eval", 5, lambda real, cf, n: real(cf, n) + 1),
-    ("tail_bounds", "tails", "tail", 6,
-     lambda real, cf, n, k: tails.TailValue(n, k, -real(cf, n, k).value)),
+    ("tail_bounds", "tails", "_tail_pair", 6,
+     lambda real, cf, n, k: (-real(cf, n, k)[0], real(cf, n, k)[1])),
     ("shift_identity", "tails", "shift_check", 7, _raise),
     ("error_bounds", "tails", "error_bound", 8, lambda real, cf, n, k: Fraction(2)),
     ("series_equivalence", "core", "_series_step", 4,
@@ -361,16 +361,16 @@ def test_check_reports_each_failure_on_its_own(monkeypatch, check, module, func,
 
 
 def test_check_starts_one_tail_sweep_per_end(monkeypatch):
-    real_tail = tails.tail
+    real_tail_pair = tails._tail_pair
     sweeps = []
 
-    def tail(cf, n, k):
-        value = real_tail(cf, n, k)
+    def tail_pair(cf, n, k):
+        value = real_tail_pair(cf, n, k)
         if not sweeps or sweeps[-1] is not cf._sweep:
             sweeps.append(cf._sweep)
         return value
 
-    monkeypatch.setattr(tails, "tail", tail)
+    monkeypatch.setattr(tails, "_tail_pair", tail_pair)
     code, _, _ = run(["check"], stdin=CHECK_DOC)
     assert code == 0
     assert len(sweeps) == CHECK_TAIL_HORIZON == 30

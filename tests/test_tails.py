@@ -31,8 +31,8 @@ from semicf import (
     tail,
     uniform_step_bound,
 )
-from semicf import core
-from semicf.errors import InsufficientTerms
+from semicf import core, tails
+from semicf.errors import IdentityViolation, InsufficientTerms
 
 from conftest import all_minus_two, corpus_cf, golden
 
@@ -272,7 +272,8 @@ QUERIES = [
 
 
 # Every call that takes an index i in 0..len(cf), as a function of cf and i.
-# The tail queries take i as their end n + k, with k = 1.
+# The tail queries take i as their end n + k, with k = 1, and
+# uniform_step_bound at n, which reads term n + 1, takes i as n + 1.
 INDEX_CALLS = {
     "state_at": state_at,
     "convergent": convergent,
@@ -284,6 +285,7 @@ INDEX_CALLS = {
     "tail": lambda cf, i: tail(cf, i - 1, 1),
     "shift_check": lambda cf, i: shift_check(cf, i - 1, 1),
     "error_bound": lambda cf, i: error_bound(cf, i - 1, 1),
+    "uniform_step_bound": lambda cf, i: uniform_step_bound(cf, i - 1),
     "fold_eval": fold_eval,
 }
 
@@ -306,6 +308,8 @@ class TestMemo:
         tail(cf, 0, len(cf))
         certify(cf, len(cf) - 1)
         series_partial_sum(cf, len(cf))
+        shift_check(cf, 0, len(cf))
+        uniform_step_bound(cf, 0)
         del cf
         gc.collect()
         assert ref() is None
@@ -324,6 +328,35 @@ class TestMemo:
             steps.clear()
             assert series_partial_sum(cf, n) == convergent(cf, n)
             assert len(steps) == new, n
+
+    def test_repeated_shift_and_uniform_bound_build_no_fraction(self, monkeypatch):
+        built = []
+
+        class Counted(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(tails, "Fraction", Counted)
+        cf = corpus_cf(7)  # 50 terms of rational b
+        first = shift_check(cf, 10, 5), uniform_step_bound(cf, 10)
+        built.clear()
+        assert (shift_check(cf, 10, 5), uniform_step_bound(cf, 10)) == first
+        assert built == []
+        assert first == (convergent(corpus_cf(7), 15), uniform_step_bound(corpus_cf(7), 10))
+
+    def test_memoized_shift_check_still_checks_its_identity(self):
+        cf = golden(5)
+        assert shift_check(cf, 3, 2) == Fraction(13, 8)
+        cf._states[5] = cf._states[5]._replace(Q_cur=cf._states[5].Q_cur + 1)
+        with pytest.raises(IdentityViolation, match="^shift value 13/8 != convergent 13/9 "):
+            shift_check(cf, 3, 2)
+
+    def test_uniform_bound_below_one_raises_on_every_call(self):
+        cf = SemiRegularCF.from_pairs(0, [(1, 1), (-1, 1)])  # D_1 = q_1 - q_0 = 0
+        for _ in range(2):
+            with pytest.raises(IdentityViolation, match="^uniform-bound denominator 0 < 1 "):
+                uniform_step_bound(cf, 1)
 
     def test_tail_costs_its_depth_not_its_start(self):
         cf = SemiRegularCF.periodic(1, [(1, 1)], 10**12)
@@ -396,14 +429,15 @@ def test_threads_sharing_one_sweep_answer_as_a_fresh_sequence():
     # Deep sweeps at ten ends, so threads both restart and extend one another's sweeps.
     spec = RandomSpec(seed=12, length=30, minus_probability=Fraction(1, 2))
     cf = random_tietze(spec)
-    queries = [tail, shift_check, error_bound]
+    names = ["tail", "shift_check", "error_bound", "uniform_step_bound"]
+    queries = dict(q for q in QUERIES if q[0] in names)
     ends = range(21, 31)
     expected = {}
     for end in ends:
         fresh = random_tietze(spec)
         for n in range(end):
-            for query in queries:
-                expected[query, n, end - n] = query(fresh, n, end - n)
+            for name in names:
+                expected[name, n, end - n] = queries[name](fresh, n, end - n)
     wrong = []
     errors = []
 
@@ -411,10 +445,10 @@ def test_threads_sharing_one_sweep_answer_as_a_fresh_sequence():
         rng = random.Random(seed)
         try:
             for _ in range(2500):
-                query, end = rng.choice(queries), rng.choice(ends)
+                name, end = rng.choice(names), rng.choice(ends)
                 n = rng.randrange(end)
-                if query(cf, n, end - n) != expected[query, n, end - n]:
-                    wrong.append((query.__name__, n, end))
+                if queries[name](cf, n, end - n) != expected[name, n, end - n]:
+                    wrong.append((name, n, end))
         except Exception as exc:  # an exception would otherwise end the thread unseen
             errors.append(exc)
 
