@@ -126,6 +126,7 @@ def _too_large(detail: Optional[str] = None) -> _Answer:
 
 
 def _decimal_str(x: Fraction, places: int) -> str:
+    """x with `places` decimals, rounded to nearest with ties to even, as round() does."""
     limit = sys.get_int_max_str_digits()
     # |x| >= 1/denominator > 2**-bits unless x is 0, so beyond this x * 10**places
     # has more than `limit` digits (a zero, as many padded places), and the

@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import IdentityViolation, InsufficientTerms
+from .errors import IdentityViolation, InsufficientTerms, _show
 
 RationalLike = Union[int, str, Fraction]
 
@@ -115,24 +115,24 @@ class SemiRegularCF(_Frozen):
     """
 
     _fields = __match_args__ = ("b0", "terms")
-    # A memo freed with the sequence: _states[k] is the recurrence window after
-    # terms 1..k; _sums[k], once series_partial_sum has checked index k, is the
-    # series numerator N_k over _states[k].Q_cur; and _sweep the latest tail
-    # sweep (end, xs), kept by tails, with xs[j] the tail x_{end-j-1, j+1} as an
-    # unreduced integer pair.  tails also keeps two dicts of reduced Fractions,
+    # A memo freed with the sequence, every slot made here: _states[k] is the
+    # recurrence window after terms 1..k, _checked the index series_partial_sum
+    # has checked through, and _sweep the latest tail sweep (end, xs), kept by
+    # tails, with xs[j] the tail x_{end-j-1, j+1} as an unreduced integer pair
+    # (no query ends at 0).  tails also keeps two dicts of reduced Fractions,
     # holding only the indices asked for: _shifts[m], the value shift_check
     # returned for end m, and _bounds[n], the checked uniform_step_bound at n.
-    __slots__ = _fields + ("_states", "_sums", "_sweep", "_shifts", "_bounds", "__weakref__")
+    __slots__ = _fields + ("_states", "_checked", "_sweep", "_shifts", "_bounds", "__weakref__")
 
     def __init__(self, b0: RationalLike, terms: Sequence = ()) -> None:
         b0 = b0 if type(b0) is Fraction else Fraction(b0)
         _set(self, "b0", b0)
         _set(self, "terms", terms if isinstance(terms, PeriodicTerms) else tuple(terms))
         _set(self, "_states", [init_state(b0)])
-        _set(self, "_sums", None)
-        _set(self, "_sweep", None)
-        _set(self, "_shifts", None)
-        _set(self, "_bounds", None)
+        _set(self, "_checked", 0)
+        _set(self, "_sweep", (0, []))
+        _set(self, "_shifts", {})
+        _set(self, "_bounds", {})
 
     @classmethod
     def from_pairs(
@@ -316,7 +316,7 @@ def _series_step(s: ConvergentState, prev: ConvergentState, num: int) -> Tuple[i
     """divmod of N_n = S_n * s.Q_cur, the series sum S_n held over the scaled q_n,
     from num = N_{n-1} (N_0 is b0's numerator).  As s.Q_prev = v * prev.Q_cur for
     b_n's denominator v, N_n = (num v Q_cur + det scale^2) / Q_prev; states that
-    obey the recurrence leave no remainder, since then N_n = scale * p_n."""
+    obey the recurrence leave no remainder, and then N_n = s.P_cur = scale * p_n."""
     _, _, _, Q_prev, Q_cur, scale, det = s
     return divmod(num * (scale // prev.scale) * Q_cur + det * scale * scale, Q_prev)
 
@@ -325,22 +325,21 @@ def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
     """b0 plus the telescoped series of convergent differences through n.
 
     Each term is (-1)^{k-1} a_1...a_k / (q_{k-1} q_k); the partial sum equals
-    convergent(cf, n) exactly.  The sum is an integer over the scaled q_k, so a
-    term costs one exact division and no gcd; a remainder raises IdentityViolation
-    and is not kept.  cf's memo keeps the checked sums, so a repeated query steps
-    through no term and a deeper one only through its new terms.
+    convergent(cf, n) exactly.  Term k adds one exact division, and no gcd, to
+    the sum through k - 1, checked to be p_{k-1}/q_{k-1}; it passes if it leaves
+    no remainder and its numerator is P_cur, else raises IdentityViolation.  cf's
+    memo keeps the index checked through, so a repeated query steps through no
+    term and a deeper one only through its new terms.
     """
-    states, sums = _states_through(cf, _index(cf, n)), cf._sums
-    if sums is None:
-        sums = [cf.b0.numerator]
-        _set(cf, "_sums", sums)
-    # Test the length read and write slot k, as _states_through does.
-    while (k := len(sums)) <= n:
-        num, r = _series_step(states[k], states[k - 1], sums[k - 1])
+    states = _states_through(cf, _index(cf, n))
+    for k in range(cf._checked + 1, n + 1):
+        num, r = _series_step(states[k], states[k - 1], states[k - 1].P_cur)
         if r:
             raise IdentityViolation(f"series term {k} leaves remainder {r}")
-        sums[k:k + 1] = [num]
-    return Fraction(sums[n], states[n].Q_cur)
+        if num != states[k].P_cur:
+            raise IdentityViolation(f"series term {k} sums to {_show(num)} != P_cur")
+    _set(cf, "_checked", max(cf._checked, n))  # a racing thread may lower it: checks repeat
+    return states[n].value
 
 
 def gap(s: ConvergentState, a_next: int) -> Fraction:

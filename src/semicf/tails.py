@@ -94,7 +94,7 @@ def _tail_pair(cf: SemiRegularCF, n: int, k: int) -> Tuple[int, int]:
     if n < 0:
         raise ValueError("tail start index n must be >= 0")
     end, memo = n + k, cf._sweep
-    if memo is None or memo[0] != end:
+    if memo[0] != end:
         memo = (_index(cf, end), [])
         _set(cf, "_sweep", memo)
     xs, terms = memo[1], cf.terms
@@ -122,13 +122,6 @@ def tail(cf: SemiRegularCF, n: int, k: int) -> TailValue:
     return TailValue(n, k, Fraction(*_tail_pair(cf, n, k)))
 
 
-def _memo(cf: SemiRegularCF, slot: str) -> dict:
-    """cf's memo dict in slot, made on first use."""
-    if getattr(cf, slot) is None:
-        _set(cf, slot, {})
-    return getattr(cf, slot)
-
-
 def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
     """(p_n + x_{n,k} p_{n-1}) / (q_n + x_{n,k} q_{n-1}).
 
@@ -143,9 +136,8 @@ def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
     if num * deep_Q != den * deep_P:
         raise IdentityViolation(f"shift value {Fraction(num, den)} != convergent "
                                 f"{Fraction(deep_P, deep_Q)} at n={n}, k={k}")
-    shifts = _memo(cf, "_shifts")
-    if (value := shifts.get(n + k)) is None:
-        value = shifts[n + k] = Fraction(num, den)
+    if (value := cf._shifts.get(n + k)) is None:
+        value = cf._shifts[n + k] = Fraction(num, den)
     return value
 
 
@@ -188,9 +180,8 @@ def uniform_step_bound(cf: SemiRegularCF, n: int) -> Fraction:
     D_n = q_n - q_{n-1} otherwise; see the module docstring for why D_n >= 1.
     cf's memo keeps each checked bound, so a repeat builds no Fraction.
     """
-    bounds = _memo(cf, "_bounds")
-    if (bound := bounds.get(n)) is None:
-        bound = bounds[n] = Fraction(*_uniform_bound(state_at(cf, n), cf.a(n + 1)))
+    if (bound := cf._bounds.get(n)) is None:
+        bound = cf._bounds[n] = Fraction(*_uniform_bound(state_at(cf, n), cf.a(n + 1)))
     return bound
 
 

@@ -289,6 +289,15 @@ class TestSeries:
         with pytest.raises(IdentityViolation, match="^series term 3 "):
             series_partial_sum(cf, 5)
 
+    def test_series_reads_the_state_it_must_reach(self):
+        cf = golden(5)
+        state_at(cf, 5)
+        cf._states[3] = cf._states[3]._replace(P_cur=cf._states[3].P_cur + 1)
+        assert series_partial_sum(cf, 2) == Fraction(3, 2)
+        for _ in range(2):  # a failed term is not taken as checked
+            with pytest.raises(IdentityViolation, match="^series term 3 sums to 5 != P_cur$"):
+                series_partial_sum(cf, 3)
+
     def test_invalid_sequence_with_q2_zero(self):
         # b_1 = 1/2 breaks b >= 1, and q_2 = 2 * (1/2) - 1 = 0
         cf = SemiRegularCF.from_pairs(0, [(1, "1/2"), (-1, 2), (1, 3), (1, 1)])

@@ -18,9 +18,13 @@ from semicf import (
     ValidationReport,
     Violation,
     certify,
+    error_bound,
     evaluate,
+    series_partial_sum,
+    shift_check,
     state_at,
     tail,
+    uniform_step_bound,
 )
 
 CF = SemiRegularCF.from_pairs(Fraction(1, 2), [(1, 2), (-1, Fraction(5, 3))])
@@ -90,10 +94,15 @@ def test_record_contract(name):
 
 def test_queries_on_a_copied_sequence_answer_as_on_the_original():
     cf = SemiRegularCF.from_pairs(1, [(1, 1)] * 5)
-    state_at(cf, 5)
     tail(cf, 0, 5)
+    queries = [
+        lambda c: state_at(c, 5), lambda c: tail(c, 1, 4), lambda c: series_partial_sum(c, 5),
+        lambda c: shift_check(c, 1, 4), lambda c: error_bound(c, 1, 4),
+        lambda c: uniform_step_bound(c, 2),
+    ]
+    answers = [query(cf) for query in queries]
     for twin in (copy.copy(cf), copy.deepcopy(cf), pickle.loads(pickle.dumps(cf))):
-        assert state_at(twin, 5) == state_at(cf, 5) and tail(twin, 1, 4) == tail(cf, 1, 4)
+        assert [query(twin) for query in queries] == [query(cf) for query in queries] == answers
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

@@ -2,6 +2,7 @@ import gc
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from fractions import Fraction
 
@@ -328,6 +329,17 @@ class TestMemo:
             steps.clear()
             assert series_partial_sum(cf, n) == convergent(cf, n)
             assert len(steps) == new, n
+
+    def test_series_keeps_no_number_per_index(self):
+        cf = SemiRegularCF.periodic(1, [(1, 1)], 10**6)
+        state_at(cf, 3000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            series_partial_sum(cf, 3000)
+            assert tracemalloc.get_traced_memory()[0] - before < 1024
+        finally:
+            tracemalloc.stop()
 
     def test_repeated_shift_and_uniform_bound_build_no_fraction(self, monkeypatch):
         built = []
