@@ -13,7 +13,10 @@ Exit codes: 0 success, 1 invariant failure or invalid input (details in the
 stdout document), 2 usage error, 3 step budget exhausted.
 
 `answer` is the pure entry, returning exit code, stdout and stderr; only
-`console_entry`, the `semicf` script, touches the process's streams.
+`console_entry`, the `semicf` script, touches the process's streams.  It does
+not return: after its last checked write it ends the process with `os._exit`,
+skipping interpreter finalization (atexit handlers, thread joins, freeing
+every module and object).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Any, BinaryIO, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, BinaryIO, Callable, Dict, List, NoReturn, Optional, Tuple, Union
 
 from . import core, oracle, tails
 from .core import SemiRegularCF, Term, validate
@@ -41,7 +44,7 @@ from .errors import (
 )
 from .expand import _ROUND, _euclid
 
-_RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 #: Tail-based checks are quadratic in the horizon; `check` caps them here.
 CHECK_TAIL_HORIZON = 30
@@ -58,10 +61,11 @@ CHECKS = ("lemma1", "determinant", "series_equivalence",
 
 
 def _parse_rational(value: Any, where: str) -> Fraction:
-    if not isinstance(value, str) or not _RATIONAL_RE.fullmatch(value):
+    match = _RATIONAL_RE.fullmatch(value) if isinstance(value, str) else None
+    if match is None:
         raise ParseError(f"{where}: expected a rational string like '7/3', got {value!r}")
     try:
-        return Fraction(value)
+        return Fraction(int(match[1]), int(match[2] or 1))
     except ZeroDivisionError:
         raise ParseError(f"{where}: zero denominator in {value!r}") from None
     except ValueError as exc:  # more digits than int() converts
@@ -371,23 +375,27 @@ def _write(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def console_entry() -> None:
+def console_entry() -> NoReturn:
     """answer as the semicf script.  A failed write to stdout (its reader gone, its
     device full, it closed) is answered by one line on stderr and exit 1.  stderr
-    is written as far as it goes; a failed write to it keeps the exit code."""
+    is written as far as it goes; a failed write to it keeps the exit code.  Text
+    left in sys.stdout or sys.stderr is flushed after semicf's own, and then the
+    process ends with os._exit: no atexit handler runs and nothing is freed."""
     code, out, err = answer(sys.argv[1:], None if sys.stdin is None else sys.stdin.buffer)
     try:
         if sys.stdout is None:  # the process started with descriptor 1 closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         _write(1, out.encode(sys.stdout.encoding, sys.stdout.errors))
+        sys.stdout.flush()
     except OSError as exc:
         code, err = 1, f"error: cannot write to stdout: {exc.strerror}\n"
     if sys.stderr is not None:  # None: the process started with descriptor 2 closed
         try:
             _write(2, err.encode(sys.stderr.encoding, sys.stderr.errors))
+            sys.stderr.flush()
         except OSError:
             pass  # what semicf says there is lost; the exit code stands
-    sys.exit(code)
+    os._exit(code)
 
 if __name__ == "__main__":
     console_entry()

@@ -532,24 +532,110 @@ def test_failed_write_to_stderr_keeps_the_exit_code(redirect, argv, code, unbuff
 GOLDEN_PERIOD = b'{"b0":"1","terms":[{"a":1,"b":"1"}]}'
 
 
-def _semicf_args(redirect, argv, unbuffered):
-    """Popen's args and env for `python -m semicf.cli argv`, started by sh with
-    the redirection applied, with or without PYTHONUNBUFFERED."""
+def _semicf_args(redirect, argv, unbuffered, command=None):
+    """Popen's args and env for `command argv`, by default `python -m semicf.cli
+    argv`, started by sh with the redirection applied, with or without
+    PYTHONUNBUFFERED."""
     if "/dev/full" in redirect and not os.path.exists("/dev/full"):
         pytest.skip("no /dev/full")
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    return ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "semicf.cli",
-            *argv], env
+    return ["sh", "-c", f'exec "$@" {redirect}', "sh",
+            *(command or [sys.executable, "-m", "semicf.cli"]), *argv], env
 
 
-def _semicf_process(redirect, argv, unbuffered, stdout=subprocess.PIPE):
-    """The semicf process of _semicf_args, run to its end on the golden period."""
-    args, env = _semicf_args(redirect, argv, unbuffered)
-    return subprocess.run(args, input=GOLDEN_PERIOD, stdout=stdout, stderr=subprocess.PIPE,
+def _semicf_process(redirect, argv, unbuffered, stdout=subprocess.PIPE, command=None,
+                    stdin=GOLDEN_PERIOD):
+    """The semicf process of _semicf_args, run to its end on stdin."""
+    args, env = _semicf_args(redirect, argv, unbuffered, command)
+    return subprocess.run(args, input=stdin, stdout=stdout, stderr=subprocess.PIPE,
                           env=env, timeout=60)
+
+
+def _entry(script=None, before=None):
+    """The command that starts semicf: `python -m semicf.cli`, or the console
+    script named script.  Given before, a `python -c` program that runs those
+    statements and then console_entry, through script's own code when given."""
+    if before is None:
+        return None if script is None else [script]
+    entry = ("from semicf.cli import console_entry; console_entry()" if script is None else
+             f"import runpy, shutil; runpy.run_path(shutil.which({script!r}), run_name='__main__')")
+    return [sys.executable, "-c", f"{before}\n{entry}"]
+
+
+def _answer_bytes(argv, stdin):
+    """answer's stdout and stderr for argv on stdin, as bytes."""
+    _, out, err = run(argv, stdin)
+    return out.encode(), err.encode()
+
+
+#: argv, stdin and exit code of one semicf process per exit code.
+EXITS = [
+    (["check"], GOLDEN_PERIOD, 0),
+    (["check"], b'{"b0":"0","terms":[{"a":1,"b":"1/2"}]}', 1),
+    (["eval", "--eps", "0"], GOLDEN_PERIOD, 2),
+    (["eval", "--eps", "1/1000", "--repeat", "--max-steps", "1"],
+     b'{"b0":"1","terms":[{"a":-1,"b":"2"}]}', 3),
+]
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, stdin, code", EXITS, ids=[str(e[2]) for e in EXITS])
+def test_process_exits_with_the_code_of_answer(argv, stdin, code, unbuffered, script=None):
+    """Each exit code comes out of a whole semicf process, with answer's bytes."""
+    proc = _semicf_process("", argv, unbuffered, command=_entry(script), stdin=stdin)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, *_answer_bytes(argv, stdin))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_process_prints_what_python_left_in_its_buffers(unbuffered, script=None):
+    """Text that other code left in sys.stdout and sys.stderr comes out after
+    semicf's own, or before it where PYTHONUNBUFFERED wrote it at once."""
+    before = "import sys; sys.stdout.write('out'); sys.stderr.write('err')"
+    for argv, stdin, code in EXITS:
+        proc = _semicf_process("", argv, unbuffered, command=_entry(script, before), stdin=stdin)
+        out, err = _answer_bytes(argv, stdin)
+        expected = (b"out" + out, b"err" + err) if unbuffered else (out + b"out", err + b"err")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, *expected), argv
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_process_answers_a_failed_flush_of_stdout(unbuffered, script=None):
+    """Text left in a sys.stdout that cannot be flushed is a failed write to
+    stdout, reported after the document has gone out."""
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    before = "import sys; sys.stdout = open('/dev/full', 'w'); sys.stdout.write('out')"
+    proc = _semicf_process("", ["check"], unbuffered, command=_entry(script, before))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, _answer_bytes(["check"], GOLDEN_PERIOD)[0], _write_failed(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_process_ends_without_running_atexit_handlers(unbuffered, script=None):
+    """console_entry ends the process at its last write: a handler registered
+    before it does not run."""
+    before = "import atexit, os; atexit.register(os.write, 2, b'atexit ran')"
+    proc = _semicf_process("", ["check"], unbuffered, command=_entry(script, before))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, *_answer_bytes(["check"], GOLDEN_PERIOD))
+
+
+def check_script(script):
+    """The process tests of console_entry's exit, run through the console script
+    named script, which the installed package's `semicf` calls as
+    `sys.exit(console_entry())`.  From the repository root:
+
+        python -c "import sys; sys.path.insert(0, 'tests'); import test_cli as t; t.check_script('semicf')"
+    """
+    for unbuffered in (False, True):
+        for argv, stdin, code in EXITS:
+            test_process_exits_with_the_code_of_answer(argv, stdin, code, unbuffered, script)
+        test_process_prints_what_python_left_in_its_buffers(unbuffered, script)
+        test_process_answers_a_failed_flush_of_stdout(unbuffered, script)
+        test_process_ends_without_running_atexit_handlers(unbuffered, script)
 
 
 def test_usage_error_exit_2():
