@@ -379,8 +379,9 @@ def console_entry() -> NoReturn:
     """answer as the semicf script.  A failed write to stdout (its reader gone, its
     device full, it closed) is answered by one line on stderr and exit 1.  stderr
     is written as far as it goes; a failed write to it keeps the exit code.  Text
-    left in sys.stdout or sys.stderr is flushed after semicf's own, and then the
-    process ends with os._exit: no atexit handler runs and nothing is freed."""
+    left in sys.stdout or sys.stderr is flushed after semicf's own.  It does not
+    return: os._exit ends the process without finalization, so no atexit handler
+    runs, no thread is joined and no module or object is freed."""
     code, out, err = answer(sys.argv[1:], None if sys.stdin is None else sys.stdin.buffer)
     try:
         if sys.stdout is None:  # the process started with descriptor 1 closed
