@@ -16,6 +16,19 @@ q_n - q_{n-1}, which is itself at least 1 because q_n + a_{n+1} q_{n-1} >= 1
 holds for every valid sequence.  Either way the bound is valid for all
 deeper convergents simultaneously and needs only one term of lookahead.
 
+certify prints the uniform bound at n.  With an anchor m, the largest m < n
+with a_{m+1} = +1, it is at most 1/q_m^2, and so at most the triangle bound
+|p_n/q_n - p_m/q_m| + 1/q_m^2 through p_m/q_m.  Past the anchor a_j = -1 for
+m + 1 < j <= n, and the gap rule gives b_j >= 2 wherever a_{j+1} = -1.
+Let D_j = q_j - q_{j-1}.  If n = m + 1 and a_{n+1} = +1, then
+q_n = b_n q_m + q_{m-1} >= q_m.  Otherwise b_{m+1} >= 2, so
+D_{m+1} = (b_{m+1} - 1) q_m + q_{m-1} >= q_m, and on the minus stretch
+D_j = D_{j-1} + (b_j - 2) q_{j-1} >= D_{j-1} wherever b_j >= 2: at every
+j < n, and at n when a_{n+1} = -1.  So D_n >= q_m when a_{n+1} = -1, and
+q_n >= q_m, as q_n >= D_n at n = m + 1 and q_n = b_n q_{n-1} - q_{n-2} >=
+D_{n-1} past it.  The bound is at most 1/q_m^2 either way, and chained over
+the anchors, q_n >= q_m for every anchor m <= n.
+
 evaluate and certify validate the whole sequence first.  The per-index probes
 (tail, shift_check, error_bound, uniform_step_bound) assume a valid sequence
 and certify nothing on an invalid one: on 0; (+1, 2), (-1, 1/3) the uniform
@@ -201,27 +214,13 @@ def _require_valid(cf: SemiRegularCF) -> None:
 
 
 def certify(cf: SemiRegularCF, n: int) -> ErrorCertificate:
-    """An exact certificate on the distance from p_n/q_n to every deeper convergent.
-
-    With an anchor m < n whose next numerator is +1, the triangle inequality
-    through p_m/q_m gives |p_n/q_n - p_m/q_m| plus the uniform bound at m,
-    1/q_m^2 (it uses that all tails past the anchor are positive), at most
-    2/q_m^2 when the first leg is itself at most 1/q_m^2.  Without an anchor
-    the uniform one-step bound applies directly.  Validates cf before it
-    checks the index, so an invalid sequence is refused before a short one.
-    """
+    """The uniform bound at n, and n's anchor.  Validates cf before it checks n, so an
+    invalid sequence is refused before a short one; walks to n keeping one state."""
     _require_valid(cf)
-    _index(cf, n + 1)  # a certificate at n needs term n + 1; anchor_index checks n >= 0
-    m = anchor_index(cf, n)
-    # One walk to n that keeps only the states at m and n, not the memo's 0..n.
-    s_m = None
+    _index(cf, n + 1)  # a certificate at n needs term n + 1; iter_states checks n >= 0
     for s_n in iter_states(cf, n):
-        if s_n.n == m:
-            s_m = s_n
-    if s_m is None:
-        return ErrorCertificate(n, None, Fraction(*_uniform_bound(s_n, cf.a(n + 1))))
-    bound = abs(s_n.value - s_m.value) + Fraction(*_uniform_bound(s_m, 1))
-    return ErrorCertificate(n, m, bound)
+        pass
+    return ErrorCertificate(n, anchor_index(cf, n), Fraction(*_uniform_bound(s_n, cf.a(n + 1))))
 
 
 def evaluate(

@@ -388,9 +388,9 @@ RATIONALS = [
     (["convergents", "-n", "8", "--repeat", "--decimals", "12"], RATIONAL_B,
      "fa4128fb547447ff5beb20c925b6ce3d8f18f3985a1cf2fe6fe7c2c5383f26d4"),
     (["certify", "-n", "5"], RATIONAL_A,
-     "45e542f548fff774353b775f219278e66992ef648cfec71813189b39465c6171"),
+     "c2a1f6891e732a456bfcffeb707b99edf1deddda9b5301c15d5a270b2768ab24"),
     (["certify", "-n", "40", "--repeat"], RATIONAL_B,
-     "66cf252ed54f88ec758b0f624e35ae8eb9e2ff05267b0652325fc95ff796ffa9"),
+     "25aa7b85d0238e1ee454cc7e1b750fdd916fbe34994e8b9989a2538aba814092"),
     (["check"], RATIONAL_A,
      "f9ac3ab3ff2cc40f630e43cbcce42b0e04c7ee9fa3f159eb1c1c3539d5e774f0"),
     (["check"], RATIONAL_B,

@@ -74,8 +74,8 @@ DIGESTS = {
     "eval --max-steps": "6038726d66df3908",
     "convergents": "7583b24b554c3bac",
     "convergents --repeat": "065c7e8f183215bc",
-    "certify": "18ba41c5fd019d89",
-    "certify --repeat": "519d50c1d150f332",
+    "certify": "55b5c3e3f5e63850",
+    "certify --repeat": "da6a2d08c4d09865",
     "expand": "8a6060d0573225b8",
     "errors": "b75051d935ec930e",
 }

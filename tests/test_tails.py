@@ -31,6 +31,7 @@ from semicf import (
     state_at,
     tail,
     uniform_step_bound,
+    validate,
 )
 from semicf import core, tails
 from semicf.errors import IdentityViolation, InsufficientTerms
@@ -195,6 +196,88 @@ class TestCertify:
                 for i, vi in enumerate(values):
                     for vj in values[i + 1:]:
                         assert abs(vj - vi) <= bound
+
+
+@st.composite
+def valid_sequences(draw):
+    """A Tietze-valid sequence of integer or rational b, from a tuple or a period.
+
+    Each b is drawn from its least valid value, 2 before a minus numerator and
+    1 otherwise, so both edges of the gap rule occur.
+    """
+    periodic, integer = draw(st.booleans()), draw(st.booleans())
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4 if periodic else 14))
+    pairs = []
+    for i, a in enumerate(signs):
+        nxt = signs[(i + 1) % len(signs)] if periodic or i + 1 < len(signs) else 1
+        den = 1 if integer else draw(st.integers(1, 6))
+        low = (2 if nxt == -1 else 1) * den
+        pairs.append((a, Fraction(draw(st.integers(low, low + 3 * den)), den)))
+    b0 = draw(st.integers(-3, 3))
+    if periodic:
+        cf = SemiRegularCF.periodic(b0, pairs, draw(st.integers(1, 24)))
+    else:
+        cf = SemiRegularCF.from_pairs(b0, pairs)
+    assert validate(cf).valid
+    return cf
+
+
+def anchored_bound(cf, n):
+    """The bound certify printed before it printed the uniform one: the triangle
+    inequality through the anchor m, |p_n/q_n - p_m/q_m| + 1/q_m^2."""
+    m = anchor_index(cf, n)
+    if m is None:
+        return uniform_step_bound(cf, n)
+    return abs(convergent(cf, n) - convergent(cf, m)) + 1 / state_at(cf, m).q_cur ** 2
+
+
+class TestTheorem:
+    """The inequalities that make the uniform bound at n at most 1/q_m^2 at the anchor m."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(cf=valid_sequences())
+    def test_d_does_not_decrease_on_a_minus_stretch(self, cf):
+        q = [state_at(cf, j).q_cur for j in range(len(cf) + 1)]
+        for j in range(1, len(cf) + 1):
+            m = anchor_index(cf, j)
+            if m is None or cf.b(j) < 2:
+                continue
+            if j == m + 1:  # the stretch starts at the anchor: D_{m+1} >= q_m
+                assert q[j] - q[m] >= q[m]
+            else:  # a_j = -1
+                assert q[j] - q[j - 1] >= q[j - 1] - q[j - 2]
+
+    @settings(deadline=None, max_examples=100)
+    @given(cf=valid_sequences())
+    def test_q_n_is_at_least_q_m_at_every_anchor(self, cf):
+        q = [state_at(cf, j).q_cur for j in range(len(cf) + 1)]
+        for n in range(len(cf) + 1):
+            for m in range(n):
+                if cf.a(m + 1) == 1:
+                    assert q[n] >= q[m]
+
+    @settings(deadline=None, max_examples=100)
+    @given(cf=valid_sequences())
+    def test_uniform_bound_is_at_most_one_over_q_m_squared(self, cf):
+        for n in range(len(cf)):
+            m = anchor_index(cf, n)
+            if m is not None:
+                assert uniform_step_bound(cf, n) <= 1 / state_at(cf, m).q_cur ** 2
+
+    @settings(deadline=None, max_examples=100)
+    @given(cf=valid_sequences())
+    def test_certify_states_the_uniform_bound(self, cf):
+        values = [convergent(cf, j) for j in range(len(cf) + 1)]
+        for n in range(len(cf)):
+            cert = certify(cf, n)
+            assert cert == (n, anchor_index(cf, n), uniform_step_bound(cf, n))
+            assert all(abs(v - values[n]) <= cert.bound for v in values[n + 1:])
+
+    @settings(deadline=None, max_examples=100)
+    @given(cf=valid_sequences())
+    def test_uniform_bound_is_at_most_the_anchored_bound(self, cf):
+        for n in range(len(cf)):
+            assert certify(cf, n).bound <= anchored_bound(cf, n)
 
 
 class TestEvaluate:
