@@ -14,7 +14,6 @@ from .core import (
     Violation,
     convergent,
     determinant_check,
-    gap,
     init_state,
     iter_states,
     series_partial_sum,

@@ -28,6 +28,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from fractions import Fraction
 from typing import Any, BinaryIO, Callable, Dict, List, NoReturn, Optional, Tuple, Union
 
@@ -72,10 +73,20 @@ def _parse_rational(value: Any, where: str) -> Fraction:
         raise ParseError(f"{where}: {exc}") from None
 
 
+def _object(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+    """A JSON object as a dict.  A repeated key is refused, since JSON parsers
+    differ in which of its values they keep."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ParseError(f"repeated key {key!r} in a JSON object")
+    return obj
+
+
 def parse_cf(text: Union[str, bytes]) -> SemiRegularCF:
     """Strict parse of a CF document; rationals are canonicalized."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -249,16 +260,14 @@ def _first_failures(cf: SemiRegularCF) -> Dict[str, Optional[int]]:
             if not ok:
                 first[name] = index
 
-    num, r, prev = cf.b0.numerator, 0, None  # the series sum is num / s.Q_cur
+    prev = None
     for s in core.iter_states(cf):
         n = s.n
-        if n:
-            num, r = core._series_step(s, prev, num)
-        run("lemma1", n,
-            lambda: s.Q_cur >= s.scale and (n == len(cf) or core.gap(s, cf.a(n + 1)) >= 1))
+        run("lemma1", n, lambda: s.Q_cur >= s.scale
+            and (n == len(cf) or core._gap(s, cf.a(n + 1)) >= s.scale))
         run("determinant", n, lambda: core.determinant_check(s))
-        run("series_equivalence", n,
-            lambda: not r and num == s.P_cur and s.value == oracle.fold_eval(cf, n))
+        run("series_equivalence", n, lambda: (prev is None or core._series_term(s, prev))
+            and s.value == oracle.fold_eval(cf, n))
         prev = s
         if n <= CHECK_TAIL_HORIZON:
             for m in range(n):
@@ -292,10 +301,14 @@ def _cmd_check(args: argparse.Namespace) -> str:
 
 
 def _count(text: str) -> int:
-    """0 <= value < sys.maxsize, so that index value + 1 is a term of a --repeat sequence."""
+    """0 <= value < sys.maxsize, so that index value + 1 is a term of a --repeat sequence.
+    text is `-?[0-9]+` in full, a rational's integer part."""
+    match = _RATIONAL_RE.fullmatch(text)
     try:
+        if match is None or match[2] is not None:
+            raise ValueError
         value = int(text)
-    except ValueError:
+    except ValueError:  # not that pattern, or more digits than int() converts
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if not 0 <= value < sys.maxsize:
         raise argparse.ArgumentTypeError(f"must be >= 0 and < {sys.maxsize}, got {value}")

@@ -11,8 +11,9 @@ All arithmetic is exact.  The recurrence runs on plain ints with no gcd: a
 ConvergentState holds p_{n-1}, p_n, q_{n-1}, q_n times one common scale, the
 product of the denominators of b0, b_1, ..., b_n; the series partial sum is
 an integer over that scaled q_n.  Values cross the API as reduced
-`fractions.Fraction`s, so equality of results is canonical-form
-equality.  All types are immutable; operations return new values.
+`fractions.Fraction`s, so equality of results is canonical-form equality.
+Every type is immutable but for the memo in a SemiRegularCF's private slots,
+which queries extend and which never changes an answer.
 """
 
 from __future__ import annotations
@@ -233,9 +234,7 @@ class ConvergentState(NamedTuple):
     scale: int
     det: int
 
-    p_prev = property(lambda s: Fraction(s.P_prev, s.scale))
     p_cur = property(lambda s: Fraction(s.P_cur, s.scale))
-    q_prev = property(lambda s: Fraction(s.Q_prev, s.scale))
     q_cur = property(lambda s: Fraction(s.Q_cur, s.scale))
 
     @property
@@ -312,38 +311,36 @@ def determinant_check(s: ConvergentState) -> int:
     return s.det
 
 
-def _series_step(s: ConvergentState, prev: ConvergentState, num: int) -> Tuple[int, int]:
-    """divmod of N_n = S_n * s.Q_cur, the series sum S_n held over the scaled q_n,
-    from num = N_{n-1} (N_0 is b0's numerator).  As s.Q_prev = v * prev.Q_cur for
-    b_n's denominator v, N_n = (num v Q_cur + det scale^2) / Q_prev; states that
-    obey the recurrence leave no remainder, and then N_n = s.P_cur = scale * p_n."""
-    _, _, _, Q_prev, Q_cur, scale, det = s
-    return divmod(num * (scale // prev.scale) * Q_cur + det * scale * scale, Q_prev)
+def _series_term(s: ConvergentState, prev: ConvergentState) -> bool:
+    """True if series term n = s.n, added to prev's p_{n-1}/q_{n-1}, gives p_n/q_n,
+    else raises IdentityViolation.  Over the scaled q_n the sum is one exact
+    division: as s.Q_prev = v * prev.Q_cur for b_n's denominator v, it is
+    (prev.P_cur v Q_cur + det scale^2) / Q_prev, with no remainder, and s.P_cur."""
+    n, _, P_cur, Q_prev, Q_cur, scale, det = s
+    num, r = divmod(prev.P_cur * (scale // prev.scale) * Q_cur + det * scale * scale, Q_prev)
+    if r:
+        raise IdentityViolation(f"series term {n} leaves remainder {r}")
+    if num != P_cur:
+        raise IdentityViolation(f"series term {n} sums to {_show(num)} != P_cur")
+    return True
 
 
 def series_partial_sum(cf: SemiRegularCF, n: int) -> Fraction:
     """b0 plus the telescoped series of convergent differences through n.
 
     Each term is (-1)^{k-1} a_1...a_k / (q_{k-1} q_k); the partial sum equals
-    convergent(cf, n) exactly.  Term k adds one exact division, and no gcd, to
-    the sum through k - 1, checked to be p_{k-1}/q_{k-1}; it passes if it leaves
-    no remainder and its numerator is P_cur, else raises IdentityViolation.  cf's
-    memo keeps the index checked through, so a repeated query steps through no
-    term and a deeper one only through its new terms.
+    convergent(cf, n) exactly.  Each term k is checked by _series_term, one
+    exact division and no gcd, else IdentityViolation is raised.  cf's memo
+    keeps the index checked through, so a repeated query steps through no term
+    and a deeper one only through its new terms.
     """
     states = _states_through(cf, _index(cf, n))
     for k in range(cf._checked + 1, n + 1):
-        num, r = _series_step(states[k], states[k - 1], states[k - 1].P_cur)
-        if r:
-            raise IdentityViolation(f"series term {k} leaves remainder {r}")
-        if num != states[k].P_cur:
-            raise IdentityViolation(f"series term {k} sums to {_show(num)} != P_cur")
+        _series_term(states[k], states[k - 1])
     _set(cf, "_checked", max(cf._checked, n))  # a racing thread may lower it: checks repeat
     return states[n].value
 
 
-def gap(s: ConvergentState, a_next: int) -> Fraction:
-    """q_n + a_{n+1} q_{n-1}; at least 1 for every valid sequence."""
-    if a_next not in (1, -1):
-        raise ValueError(f"numerator sign must be +1 or -1, got {a_next!r}")
-    return Fraction(s.Q_cur + a_next * s.Q_prev, s.scale)
+def _gap(s: ConvergentState, a_next: int) -> int:
+    """scale * (q_n + a_{n+1} q_{n-1}); at least scale for every valid sequence."""
+    return s.Q_cur + a_next * s.Q_prev

@@ -17,6 +17,11 @@ def all_minus_two(length: int = 20, b0: int = 2) -> SemiRegularCF:
     return SemiRegularCF.from_pairs(b0, [(-1, 2)] * length)
 
 
+def gap(s, a_next: int) -> Fraction:
+    """q_n + a_{n+1} q_{n-1} of the state s, from its scaled integers."""
+    return Fraction(s.Q_cur + a_next * s.Q_prev, s.scale)
+
+
 def corpus_cf(seed: int, max_len: int = 50) -> SemiRegularCF:
     """One member of the seeded mixed corpus (deterministic in seed)."""
     return random_tietze(

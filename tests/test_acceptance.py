@@ -20,7 +20,6 @@ from semicf import (
     error_bound,
     evaluate,
     fold_eval,
-    gap,
     iter_states,
     nearest_int_expand,
     negative_expand,
@@ -35,7 +34,7 @@ from semicf import (
 )
 from semicf.cli import parse_cf, serialize_cf
 
-from conftest import all_minus_two, corpus_cf, golden
+from conftest import all_minus_two, corpus_cf, gap, golden
 from runner import run
 
 TAIL_HORIZON = 30
@@ -50,7 +49,7 @@ def test_criterion_1_determinant_identity(corpus):
                 continue
             prod *= cf.a(s.n)
             expected = prod if s.n % 2 == 1 else -prod
-            assert s.p_cur * s.q_prev - s.p_prev * s.q_cur == expected
+            assert Fraction(s.P_cur * s.Q_prev - s.P_prev * s.Q_cur, s.scale**2) == expected
             assert determinant_check(s) == expected
             checked += 1
     print(f"PASS  1. determinant identity exact at {checked} indices "

@@ -12,7 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from semicf import IdentityViolation, ParseError, RandomSpec, SemiRegularCF, random_tietze
@@ -84,6 +84,26 @@ class TestParse:
     def test_unknown_field_rejected(self):
         with pytest.raises(ParseError):
             parse_cf('{"b0":"1","terms":[],"x":1}')
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"b0":"1","b0":"5","terms":[]}', "b0"),
+            ('{"b0":"1","terms":[],"terms":[]}', "terms"),
+            ('{"b0":"1","terms":[{"a":1,"a":-1,"b":"2"}]}', "a"),
+            ('{"b0":"1","terms":[{"a":1,"b":"2","b":"2"}]}', "b"),
+            ('{"b0":"1","b0":"5","terms":[{"a":1,"a":-1,"b":"2"}]}', "a"),  # inner first
+        ],
+        ids=["b0", "terms", "a", "b-same-value", "both"],
+    )
+    def test_repeated_key_is_a_parse_error(self, text, key):
+        """A repeated key is refused, even with the same value: JSON parsers
+        differ in which value they keep, so the bytes name no one sequence."""
+        with pytest.raises(ParseError, match=f"repeated key '{key}'"):
+            parse_cf(text)
+        code, out, err = run(["convergents", "-n", "1"], stdin=text)
+        assert (code, json.loads(out), err) == (
+            1, {"error": "parse error", "detail": f"repeated key '{key}' in a JSON object"}, "")
 
     def test_round_trip(self):
         for seed in range(20):
@@ -325,15 +345,14 @@ def _raise(real, *args):
 # For each check: the module and the function it calls, the first index at
 # which the injected fault shows, and the fault.
 INJECTED_FAULTS = [
-    ("lemma1", "core", "gap", 3, lambda real, s, a: Fraction(0)),
+    ("lemma1", "core", "_gap", 3, lambda real, s, a: 0),
     ("determinant", "core", "determinant_check", 4, _raise),
     ("series_equivalence", "oracle", "fold_eval", 5, lambda real, cf, n: real(cf, n) + 1),
     ("tail_bounds", "tails", "_tail_pair", 6,
      lambda real, cf, n, k: (-real(cf, n, k)[0], real(cf, n, k)[1])),
     ("shift_identity", "tails", "shift_check", 7, _raise),
     ("error_bounds", "tails", "error_bound", 8, lambda real, cf, n, k: Fraction(2)),
-    ("series_equivalence", "core", "_series_step", 4,
-     lambda real, s, prev, num: (real(s, prev, num)[0], 1)),
+    ("series_equivalence", "core", "_series_term", 4, _raise),
     ("determinant", "core", "determinant_check", 0, _raise),  # n = 0 is checked too
 ]
 
@@ -358,6 +377,69 @@ def test_check_reports_each_failure_on_its_own(monkeypatch, check, module, func,
     for c in doc["checks"]:
         expected = index if c["name"] == check else None
         assert (c["pass"], c["first_failure"]) == (expected is None, expected), c["name"]
+
+
+def _chained_first_failures(cf, states):
+    """The first failures of lemma1, determinant and series_equivalence on states
+    by their earlier rules, kept here as a reference: lemma1 compares the gap
+    q_n + a_{n+1} q_{n-1} as a Fraction with 1, and the series sum is carried
+    as N_n = S_n * Q_cur from N_{n-1}, not restarted from p_{n-1}."""
+    first = dict.fromkeys(cli.CHECKS[:3])
+
+    def run(name, index, holds):
+        if first[name] is None:
+            try:
+                ok = holds() is not False
+            except IdentityViolation:
+                ok = False
+            if not ok:
+                first[name] = index
+
+    num, r, prev = cf.b0.numerator, 0, None
+    for s in states:
+        n, _, _, Q_prev, Q_cur, scale, det = s
+        if n:
+            num, r = divmod(num * (scale // prev.scale) * Q_cur + det * scale * scale, Q_prev)
+        run("lemma1", n, lambda: s.Q_cur >= s.scale and (
+            n == len(cf) or Fraction(s.Q_cur + cf.a(n + 1) * s.Q_prev, s.scale) >= 1))
+        run("determinant", n, lambda: core.determinant_check(s))
+        run("series_equivalence", n,
+            lambda: not r and num == s.P_cur and s.value == oracle.fold_eval(cf, n))
+        prev = s
+    return first
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    seed=st.integers(0, 2**32),
+    length=st.integers(1, 12),
+    integer_only=st.booleans(),
+    minus_probability=st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+    data=st.data(),
+)
+def test_check_finds_a_corrupted_state_where_the_chained_series_did(
+        seed, length, integer_only, minus_probability, data):
+    """check's walk, with one field of one state changed through the cli.core
+    view as in INJECTED_FAULTS, reports the first failures of the chained
+    reference, none before the corrupted index.  Some changes break no
+    identity, such as q_{-1} at n = 0 where b0 = 0, so none need fail."""
+    cf = random_tietze(RandomSpec(seed, length, minus_probability, integer_only))
+    states = list(core.iter_states(cf))
+    j = data.draw(st.integers(0, length), label="index")
+    field = data.draw(st.sampled_from(core.ConvergentState._fields[1:]), label="field")
+    delta = data.draw(st.integers(-3, 3).filter(bool), label="delta")
+    states[j] = states[j]._replace(**{field: getattr(states[j], field) + delta})
+    # Keep scale > 0 and the divisors nonzero: the checks divide by them.
+    assume(states[j].scale > 0 and states[j].Q_cur and (j == 0 or states[j].Q_prev))
+    view = SimpleNamespace(**vars(core))
+    view.iter_states = lambda _: iter(states)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "core", view)
+        first = cli._first_failures(cf)
+    reference = _chained_first_failures(cf, states)
+    assert first == {**reference, "tail_bounds": None, "shift_identity": None,
+                     "error_bounds": None}
+    assert all(i is None or i >= j for i in first.values())
 
 
 def test_check_starts_one_tail_sweep_per_end(monkeypatch):
@@ -481,12 +563,13 @@ def test_process_answers_failed_io_in_one_line(redirect, argv, out, err, unbuffe
 
 
 @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-def test_process_answers_a_reader_that_leaves_mid_write(unbuffered):
+def test_process_answers_a_reader_that_leaves_mid_write(unbuffered, script=None):
     """As `| head -c 5` leaves it: the reader takes 5 bytes of the golden
     period's 1000 convergents, 456 KB, more than a pipe holds, and closes its
     end while semicf is still writing.  The write that the close cuts short is
     partial, and the one after it fails."""
-    args, env = _semicf_args("", ["convergents", "-n", "1000", "--repeat"], unbuffered)
+    args, env = _semicf_args("", ["convergents", "-n", "1000", "--repeat"], unbuffered,
+                             _entry(script))
     with subprocess.Popen(args, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, env=env) as proc:
         proc.stdin.write(GOLDEN_PERIOD)
@@ -624,9 +707,10 @@ def test_process_ends_without_running_atexit_handlers(unbuffered, script=None):
 
 
 def check_script(script):
-    """The process tests of console_entry's exit, run through the console script
-    named script, which the installed package's `semicf` calls as
-    `sys.exit(console_entry())`.  From the repository root:
+    """The process tests of console_entry's exit and of a reader that leaves
+    mid-write, run through the console script named script, which the
+    installed package's `semicf` calls as `sys.exit(console_entry())`.  From
+    the repository root:
 
         python -c "import sys; sys.path.insert(0, 'tests'); import test_cli as t; t.check_script('semicf')"
     """
@@ -636,6 +720,7 @@ def check_script(script):
         test_process_prints_what_python_left_in_its_buffers(unbuffered, script)
         test_process_answers_a_failed_flush_of_stdout(unbuffered, script)
         test_process_ends_without_running_atexit_handlers(unbuffered, script)
+        test_process_answers_a_reader_that_leaves_mid_write(unbuffered, script)
 
 
 def test_usage_error_exit_2():
@@ -664,6 +749,26 @@ def test_negative_counts_are_usage_errors(argv, flag):
     assert code == 2
     assert out == ""
     assert f"argument {flag}: must be >= 0" in err
+
+
+@pytest.mark.parametrize("spelling", ["1_0", " 3", "3 ", "+2", "\u0663"],
+                         ids=["underscore", "leading-space", "trailing-space", "plus",
+                              "arabic-indic"])
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["convergents", "--repeat", "-n"], "-n"),
+        (["eval", "--eps", "1/10", "--max-steps"], "--max-steps"),
+        (["eval", "--eps", "1/10", "--decimals"], "--decimals"),
+    ],
+    ids=["n", "max-steps", "decimals"],
+)
+def test_counts_are_ascii_digits_only(argv, flag, spelling):
+    """A count is `-?[0-9]+` in full, as a rational's integer part is: other
+    spellings that int() accepts are usage errors, before stdin is read."""
+    code, out, err = run([*argv, spelling], _UnreadableStdin())
+    assert (code, out) == (2, "")
+    assert err.endswith(f"argument {flag}: invalid int value: {spelling!r}\n")
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,6 @@ from semicf import (
     determinant_check,
     evaluate,
     fold_eval,
-    gap,
     init_state,
     iter_states,
     random_tietze,
@@ -30,9 +29,10 @@ from semicf import (
     step,
     validate,
 )
+from semicf.core import _gap
 from semicf.errors import IdentityViolation, InsufficientTerms
 
-from conftest import all_minus_two, golden
+from conftest import all_minus_two, gap, golden
 
 # Below every uniform bound of the short sequences here, so evaluate steps to the end.
 TINY = Fraction(1, 10**100)
@@ -203,7 +203,8 @@ def test_periodic_matches_eager_unroll(b0, period):
 class TestRecurrence:
     def test_init_state(self):
         s = init_state(1)
-        assert (s.p_prev, s.p_cur, s.q_prev, s.q_cur) == (1, 1, 0, 1)
+        assert (s.P_prev, s.P_cur, s.Q_prev, s.Q_cur, s.scale) == (1, 1, 0, 1, 1)
+        assert (s.p_cur, s.q_cur) == (1, 1)
         assert s.det == -1
         s = init_state(Fraction(7, 3))
         assert s.p_cur == Fraction(7, 3)
@@ -255,12 +256,12 @@ class TestDeterminant:
 
     def test_golden_n2(self):
         s = state_at(golden(5), 2)
-        assert s.p_cur * s.q_prev - s.p_prev * s.q_cur == -1
+        assert Fraction(s.P_cur * s.Q_prev - s.P_prev * s.Q_cur, s.scale**2) == -1
         assert determinant_check(s) == -1
 
     def test_all_minus_n2(self):
         s = state_at(all_minus_two(5), 2)
-        assert s.p_cur * s.q_prev - s.p_prev * s.q_cur == -1
+        assert Fraction(s.P_cur * s.Q_prev - s.P_prev * s.Q_cur, s.scale**2) == -1
         assert determinant_check(s) == -1
 
     @pytest.mark.parametrize("b0", [1, Fraction(-7, 3)], ids=["1", "-7/3"])
@@ -337,18 +338,24 @@ def test_series_equals_fold_and_convergent_at_every_index(b0, pairs, length):
 
 
 class TestGap:
+    """_gap, the integer check's lemma1 compares with scale, is scale times the gap."""
+
     def test_initial(self):
-        assert gap(init_state(3), 1) == 1
+        s = init_state(3)
+        assert _gap(s, 1) == s.scale * gap(s, 1) == 1
 
     def test_golden_n2(self):
-        assert gap(state_at(golden(5), 2), 1) == 3
+        s = state_at(golden(5), 2)
+        assert _gap(s, 1) == s.scale * gap(s, 1) == 3
 
     def test_all_minus_n2(self):
-        assert gap(state_at(all_minus_two(5), 2), -1) == 1
+        s = state_at(all_minus_two(5), 2)
+        assert _gap(s, -1) == s.scale * gap(s, -1) == 1
 
-    def test_rejects_a_sign_that_is_not_one(self):
-        with pytest.raises(ValueError, match="must be \\+1 or -1"):
-            gap(init_state(3), 0)
+    def test_rational_b(self):
+        s = state_at(SemiRegularCF.from_pairs(Fraction(1, 2), [(1, Fraction(5, 3))]), 1)
+        assert s.scale == 6
+        assert _gap(s, 1) == s.scale * gap(s, 1) == 6 * Fraction(8, 3)
 
 
 def test_growth_thresholds():

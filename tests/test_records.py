@@ -1,10 +1,11 @@
 """The public records: immutable, copyable, picklable, printed as before,
-and built without importing dataclasses."""
+and built without importing dataclasses; and the public names themselves."""
 
 import copy
 import pickle
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -112,3 +113,25 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     proc = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_public_surface():
+    """semicf's public names, its submodules aside, and what ConvergentState
+    adds to tuple: an API change is an edit here."""
+    names = {n for n, v in vars(semicf).items()
+             if not n.startswith("_") and not isinstance(v, types.ModuleType)}
+    assert names == {
+        "ALL_MINUS_TAIL", "B_TOO_SMALL", "DEFAULT_MAX_STEPS", "GAP_VIOLATION", "PLUS_ANCHOR",
+        "BudgetExhausted", "CFError", "DenominatorBelowOne", "IdentityViolation",
+        "InsufficientTerms", "ParseError", "TietzeViolation", "ZeroDenominator",
+        "ConvergentState", "ErrorCertificate", "EvalResult", "RandomSpec", "SemiRegularCF",
+        "TailValue", "Term", "ValidationReport", "Violation",
+        "anchor_index", "certify", "convergent", "determinant_check", "error_bound",
+        "evaluate", "fold_eval", "init_state", "iter_states", "nearest_int_expand",
+        "negative_expand", "random_tietze", "regular_expand", "series_partial_sum",
+        "shift_check", "state_at", "step", "tail", "uniform_step_bound", "validate",
+    }
+    state = semicf.ConvergentState
+    assert {n for n in set(dir(state)) - set(dir(tuple)) if not n.startswith("_")} == {
+        "n", "P_prev", "P_cur", "Q_prev", "Q_cur", "scale", "det", "p_cur", "q_cur", "value",
+    }

@@ -399,13 +399,13 @@ class TestMemo:
         assert ref() is None
 
     def test_series_queries_step_only_through_unchecked_terms(self, monkeypatch):
-        steps, series_step = [], core._series_step
+        steps, series_term = [], core._series_term
 
-        def counted(s, prev, num):
+        def counted(s, prev):
             steps.append(s.n)
-            return series_step(s, prev, num)
+            return series_term(s, prev)
 
-        monkeypatch.setattr(core, "_series_step", counted)
+        monkeypatch.setattr(core, "_series_term", counted)
         cf = corpus_cf(7)  # 50 terms of rational b
         series_partial_sum(cf, 40)
         for n, new in [(40, 0), (45, 5), (10, 0)]:
