@@ -120,12 +120,12 @@ def parse_cf(text: Union[str, bytes]) -> SemiRegularCF:
     return SemiRegularCF(b0, tuple(terms))
 
 
+#: The CLI's one JSON writer: compact, with each Fraction written as its str().
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+
+
 def serialize_cf(cf: SemiRegularCF) -> str:
-    doc = {
-        "b0": str(cf.b0),
-        "terms": [{"a": t.a, "b": str(t.b)} for t in cf.terms],
-    }
-    return json.dumps(doc, separators=(",", ":"))
+    return _ENCODER.encode({"b0": cf.b0, "terms": [{"a": t.a, "b": t.b} for t in cf.terms]})
 
 
 class _Answer(Exception):
@@ -158,9 +158,6 @@ def _decimal_str(x: Fraction, places: int) -> str:
     if places == 0:
         return sign + digits
     return f"{sign}{digits[:-places]}.{digits[-places:]}"
-
-
-_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
 
 
 def _encode(doc: Any) -> str:
@@ -302,16 +299,17 @@ def _cmd_check(args: argparse.Namespace) -> str:
 
 def _count(text: str) -> int:
     """0 <= value < sys.maxsize, so that index value + 1 is a term of a --repeat sequence.
-    text is `-?[0-9]+` in full, a rational's integer part."""
+    text is `-?[0-9]+` in full, a rational's integer part, else it is invalid."""
     match = _RATIONAL_RE.fullmatch(text)
+    if match is None or match[2] is not None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    out_of_range = f"must be >= 0 and < {sys.maxsize}"
     try:
-        if match is None or match[2] is not None:
-            raise ValueError
         value = int(text)
-    except ValueError:  # not that pattern, or more digits than int() converts
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    except ValueError:  # more digits than int() converts: out of range, and not echoed
+        raise argparse.ArgumentTypeError(out_of_range) from None
     if not 0 <= value < sys.maxsize:
-        raise argparse.ArgumentTypeError(f"must be >= 0 and < {sys.maxsize}, got {value}")
+        raise argparse.ArgumentTypeError(f"{out_of_range}, got {value}")
     return value
 
 

@@ -165,7 +165,7 @@ class SemiRegularCF(_Frozen):
     def term(self, n: int) -> Term:
         """The n-th term, 1-based."""
         if not 1 <= n <= len(self.terms):
-            raise InsufficientTerms(f"term index {n} outside 1..{len(self)}", len(self))
+            raise InsufficientTerms(f"term index {_show(n)} outside 1..{len(self)}", len(self))
         return self.terms[n - 1]
 
     def a(self, n: int) -> int:
@@ -182,7 +182,7 @@ class SemiRegularCF(_Frozen):
 def _index(cf: SemiRegularCF, n: int) -> int:
     """n, if 0 <= n <= len(cf): an index of a state, a prefix or a tail end."""
     if not 0 <= n <= len(cf):
-        raise InsufficientTerms(f"index {n} outside 0..{len(cf)}", len(cf))
+        raise InsufficientTerms(f"index {_show(n)} outside 0..{len(cf)}", len(cf))
     return n
 
 
@@ -305,7 +305,7 @@ def determinant_check(s: ConvergentState) -> int:
     actual = s.P_cur * s.Q_prev - s.P_prev * s.Q_cur  # scale**2 times the identity
     if actual != s.det * s.scale * s.scale:
         raise IdentityViolation(
-            f"p_n q_(n-1) - p_(n-1) q_n = {Fraction(actual, s.scale * s.scale)}, "
+            f"p_n q_(n-1) - p_(n-1) q_n = {_show(Fraction(actual, s.scale * s.scale))}, "
             f"expected {s.det} at n={s.n}"
         )
     return s.det
@@ -319,7 +319,7 @@ def _series_term(s: ConvergentState, prev: ConvergentState) -> bool:
     n, _, P_cur, Q_prev, Q_cur, scale, det = s
     num, r = divmod(prev.P_cur * (scale // prev.scale) * Q_cur + det * scale * scale, Q_prev)
     if r:
-        raise IdentityViolation(f"series term {n} leaves remainder {r}")
+        raise IdentityViolation(f"series term {n} leaves remainder {_show(r)}")
     if num != P_cur:
         raise IdentityViolation(f"series term {n} sums to {_show(num)} != P_cur")
     return True

@@ -147,8 +147,8 @@ def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
     _, _, deep_P, _, deep_Q, _, _ = states[n + k]
     num, den = t * P_cur + r * P_prev, t * Q_cur + r * Q_prev
     if num * deep_Q != den * deep_P:
-        raise IdentityViolation(f"shift value {Fraction(num, den)} != convergent "
-                                f"{Fraction(deep_P, deep_Q)} at n={n}, k={k}")
+        raise IdentityViolation(f"shift value {_show(Fraction(num, den))} != convergent "
+                                f"{_show(Fraction(deep_P, deep_Q))} at n={n}, k={k}")
     if (value := cf._shifts.get(n + k)) is None:
         value = cf._shifts[n + k] = Fraction(num, den)
     return value
@@ -168,9 +168,8 @@ def error_bound(cf: SemiRegularCF, n: int, k: int) -> Fraction:
     gap = abs(deep_P * Q_cur - P_cur * deep_Q)
     gap_den = abs(deep_Q * Q_cur)
     if gap * bound.denominator > bound.numerator * gap_den:
-        raise IdentityViolation(
-            f"convergent gap {Fraction(gap, gap_den)} exceeds bound {bound} at n={n}, k={k}"
-        )
+        raise IdentityViolation(f"convergent gap {_show(Fraction(gap, gap_den))} exceeds "
+                                f"bound {_show(bound)} at n={n}, k={k}")
     return bound
 
 

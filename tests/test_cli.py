@@ -442,6 +442,32 @@ def test_check_finds_a_corrupted_state_where_the_chained_series_did(
     assert all(i is None or i >= j for i in first.values())
 
 
+def test_check_reports_a_fault_whose_numbers_are_past_the_digit_limit():
+    """Each term's b has a 3001-digit denominator, so state 2's scale has 6001
+    digits, and the determinant's message shows the stand-in for its value."""
+    b = "%d/%d" % (2 * 10**3000 + 1, 10**3000)
+    doc = serialize_cf(SemiRegularCF.from_pairs(1, [(1, b)] * 3))
+    states = list(core.iter_states(parse_cf(doc)))
+    states[2] = states[2]._replace(P_cur=states[2].P_cur + 1)
+    view = SimpleNamespace(**vars(core))
+    view.iter_states = lambda _: iter(states)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "core", view)
+        code, out, err = run(["check"], stdin=doc)
+    assert (code, err) == (1, "")
+    assert {c["name"]: c["first_failure"] for c in json.loads(out)["checks"]} == {
+        **dict.fromkeys(cli.CHECKS), "determinant": 2, "series_equivalence": 2}
+
+
+def test_an_unforeseen_library_error_is_answered_by_its_type_and_message(monkeypatch):
+    def certify(cf, n):
+        raise IdentityViolation("x")
+
+    monkeypatch.setattr(tails, "certify", certify)
+    assert run(["certify", "-n", "1"], stdin=GOLDEN_DOC) == (
+        1, '{"error":"IdentityViolation","detail":"x"}\n', "")
+
+
 def test_check_starts_one_tail_sweep_per_end(monkeypatch):
     real_tail_pair = tails._tail_pair
     sweeps = []
@@ -769,6 +795,25 @@ def test_counts_are_ascii_digits_only(argv, flag, spelling):
     code, out, err = run([*argv, spelling], _UnreadableStdin())
     assert (code, out) == (2, "")
     assert err.endswith(f"argument {flag}: invalid int value: {spelling!r}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["convergents", "--repeat", "-n"], ["eval", "--eps", "1/10", "--max-steps"],
+     ["eval", "--eps", "1/10", "--decimals"]],
+    ids=["n", "max-steps", "decimals"],
+)
+def test_counts_longer_than_int_converts_are_out_of_range_and_not_echoed(argv):
+    """A count with more digits than int() converts is far past sys.maxsize."""
+    code, out, err = run([*argv, "9" * 5000], _UnreadableStdin())
+    assert (code, out) == (2, "")
+    assert err.endswith(f"argument {argv[-1]}: must be >= 0 and < {sys.maxsize}\n")
+    assert "99999" not in err
+
+
+def test_zero_padded_counts_are_accepted():
+    code, out, _ = run(["convergents", "--repeat", "-n", "0" * 25 + "7"], stdin=GOLDEN_DOC)
+    assert code == 0 and len(json.loads(out)["convergents"]) == 8
 
 
 @pytest.mark.parametrize(

@@ -9,14 +9,20 @@ import pytest
 
 from semicf import (
     BudgetExhausted,
+    IdentityViolation,
     InsufficientTerms,
     SemiRegularCF,
     Violation,
     ZeroDenominator,
     certify,
     convergent,
+    determinant_check,
+    error_bound,
     evaluate,
     fold_eval,
+    series_partial_sum,
+    shift_check,
+    state_at,
     tail,
     uniform_step_bound,
 )
@@ -92,3 +98,50 @@ def test_an_error_about_a_number_too_long_to_print_is_still_raised(name):
     error = ABOUT_A_LONG_NUMBER[name]()
     assert type(error).__name__ == name
     assert "<a number past the int-to-str digit limit>" in str(error)
+
+
+BIG = 10**5000
+
+
+def _corrupted(changes):
+    """A 5-term golden sequence whose memoized states have the changed fields
+    in `changes`, {n: {field: value}}, as a bug in the recurrence would leave them."""
+    cf = SemiRegularCF.from_pairs(1, [(1, 1)] * 5)
+    state_at(cf, 5)
+    for n, fields in changes.items():
+        cf._states[n] = cf._states[n]._replace(**fields)
+    return cf
+
+
+#: Each number that a raise site shows in its message, driven past the int-to-str
+#: digit limit, and the error that the site must raise all the same.
+PAST_THE_LIMIT = {
+    "term": (lambda: GOLDEN.term(BIG), InsufficientTerms),
+    "index": (lambda: state_at(GOLDEN, BIG), InsufficientTerms),
+    "fold_eval": (lambda: fold_eval(GOLDEN, BIG), InsufficientTerms),
+    "determinant_check": (
+        lambda: determinant_check(state_at(_corrupted({3: {"P_cur": BIG}}), 3)),
+        IdentityViolation),
+    # series term 3 is (3 BIG + 1) / (BIG + 1): quotient 2, remainder BIG - 1
+    "series_remainder": (
+        lambda: series_partial_sum(_corrupted({3: {"Q_prev": BIG + 1, "Q_cur": BIG}}), 3),
+        IdentityViolation),
+    "shift_value": (lambda: shift_check(_corrupted({3: {"P_cur": BIG}}), 3, 2),
+                    IdentityViolation),
+    "shift_convergent": (lambda: shift_check(_corrupted({5: {"P_cur": BIG}}), 3, 2),
+                         IdentityViolation),
+    "error_bound_gap": (lambda: error_bound(_corrupted({3: {"P_cur": BIG}}), 1, 2),
+                        IdentityViolation),
+    # a scale of BIG at n = 1 makes the bound about BIG^2, and p_3 = BIG^3 the gap larger
+    "error_bound_bound": (
+        lambda: error_bound(_corrupted({1: {"scale": BIG}, 3: {"P_cur": BIG**3}}), 1, 2),
+        IdentityViolation),
+}
+
+
+@pytest.mark.parametrize("site", PAST_THE_LIMIT)
+def test_each_raise_site_shows_a_number_past_the_limit_as_the_stand_in(site):
+    call, error_type = PAST_THE_LIMIT[site]
+    with pytest.raises(error_type) as info:
+        call()
+    assert "<a number past the int-to-str digit limit>" in str(info.value)

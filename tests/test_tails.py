@@ -115,6 +115,14 @@ class TestErrorBound:
                 s_q = convergent(cf, n).denominator
                 assert error_bound(cf, n, k) <= Fraction(1, s_q * s_q)
 
+    def test_a_gap_over_the_bound_raises(self):
+        cf = golden(5)
+        state_at(cf, 5)
+        cf._states[3] = cf._states[3]._replace(P_cur=cf._states[3].P_cur * 7)  # p_3 = 21
+        with pytest.raises(IdentityViolation) as info:
+            error_bound(cf, 1, 2)
+        assert str(info.value) == "convergent gap 29/3 exceeds bound 2/3 at n=1, k=2"
+
 
 class TestUniformBound:
     def test_golden(self):
