@@ -120,8 +120,9 @@ def parse_cf(text: Union[str, bytes]) -> SemiRegularCF:
     return SemiRegularCF(b0, tuple(terms))
 
 
-#: The CLI's one JSON writer: compact, with each Fraction written as its str().
-_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str)
+#: The CLI's one JSON writer: compact, each Fraction written as its str(), and no
+#: check for reference cycles (a dict entry per Fraction) in the trees built here.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), default=str, check_circular=False)
 
 
 def serialize_cf(cf: SemiRegularCF) -> str:
