@@ -76,10 +76,10 @@ class Term(_Frozen):
 
     def __init__(self, a: int, b: RationalLike) -> None:
         if type(a) is not int or a not in (1, -1):  # not True, not 1.0
-            raise ValueError(f"numerator sign must be +1 or -1, got {a!r}")
+            raise ValueError(f"numerator sign must be +1 or -1, got {_show(a, repr)}")
         b = b if type(b) is Fraction else Fraction(b)  # a subclass is converted
         if b.numerator <= 0:
-            raise ValueError(f"partial denominator must be positive, got {b}")
+            raise ValueError(f"partial denominator must be positive, got {_show(b)}")
         _set(self, "a", a)
         _set(self, "b", b)
 
@@ -156,7 +156,7 @@ class SemiRegularCF(_Frozen):
             raise ValueError("periodic continuation needs a nonempty period")
         if type(length) is not int or not 0 <= length <= sys.maxsize:
             raise ValueError(f"length must be nonnegative and an int <= sys.maxsize, "
-                             f"got {length!r}")
+                             f"got {_show(length, repr)}")
         return cls(b0, PeriodicTerms(period, length))
 
     def __len__(self) -> int:

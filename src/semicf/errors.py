@@ -7,10 +7,10 @@ properties, so copy, deepcopy and pickle rebuild it whole.
 from __future__ import annotations
 
 
-def _show(x: object) -> str:
-    """str(x) for a message, or a stand-in where str() raises ValueError."""
+def _show(x: object, form=str) -> str:
+    """form(x), str(x) by default, for a message, or a stand-in where it raises ValueError."""
     try:
-        return str(x)
+        return form(x)
     except ValueError:  # more digits than the int-to-str limit converts
         return "<a number past the int-to-str digit limit>"
 

@@ -2,32 +2,31 @@
 
 The tail x_{n,k} is the value of the depth-k continued fraction starting
 after index n.  For every valid sequence its sign equals a_{n+1} and its
-magnitude is at most 1, which combined with the shift identity
+magnitude is at most 1.  With the shift identity
 
     p_{n+k}/q_{n+k} = (p_n + x_{n,k} p_{n-1}) / (q_n + x_{n,k} q_{n-1})
 
-gives the per-step error bound 1/(q_n |q_n + x_{n,k} q_{n-1}|).
+and the determinant identity it gives error_bound, the exact convergent gap
+|x_{n,k}| / (q_n |q_n + x_{n,k} q_{n-1}|).  That grows with |x_{n,k}|, so
+its supremum over all depths k, at x = a_{n+1}, is the uniform bound
+1/(q_n g_n), where g_n = q_n + a_{n+1} q_{n-1} >= 1 is the gap of core._gap
+and check's lemma1.  It is attained at k = 1 when b_{n+1} = 1, and in the
+limit of a (-1, 2) tail, so no rule on q_n, q_{n-1} and a_{n+1} is tighter.
 
-The uniform bound used by the evaluator is derived from that by replacing
-x_{n,k} with its worst case over all depths k: when a_{n+1} = +1 the tail is
-positive, so the denominator exceeds q_n and 1/q_n^2 works; when
-a_{n+1} = -1 the tail lies in [-1, 0), so the denominator is at least
-q_n - q_{n-1}, which is itself at least 1 because q_n + a_{n+1} q_{n-1} >= 1
-holds for every valid sequence.  Either way the bound is valid for all
-deeper convergents simultaneously and needs only one term of lookahead.
+Let f_n = q_n g_n, so f_0 = 1, and q_{n+1} = (b_{n+1} - 1) q_n + g_n >= g_n.
+If a_{n+2} = +1, then g_{n+1} = q_{n+1} + q_n >= g_n + q_n.  If
+a_{n+2} = -1, the gap rule gives b_{n+1} >= 2, so q_{n+1} >= q_n + g_n and
+g_{n+1} = (b_{n+1} - 2) q_n + g_n >= g_n.  Either way
+f_{n+1} >= f_n + g_n^2 >= f_n + 1: the bound at n is at most 1/(n + 1) and
+strictly decreases with n, for rational b too.  The all-minus-2 chain meets
+1/(n + 1), so no faster rate holds for every valid sequence.
 
-certify prints the uniform bound at n.  With an anchor m, the largest m < n
-with a_{m+1} = +1, it is at most 1/q_m^2, and so at most the triangle bound
-|p_n/q_n - p_m/q_m| + 1/q_m^2 through p_m/q_m.  Past the anchor a_j = -1 for
-m + 1 < j <= n, and the gap rule gives b_j >= 2 wherever a_{j+1} = -1.
-Let D_j = q_j - q_{j-1}.  If n = m + 1 and a_{n+1} = +1, then
-q_n = b_n q_m + q_{m-1} >= q_m.  Otherwise b_{m+1} >= 2, so
-D_{m+1} = (b_{m+1} - 1) q_m + q_{m-1} >= q_m, and on the minus stretch
-D_j = D_{j-1} + (b_j - 2) q_{j-1} >= D_{j-1} wherever b_j >= 2: at every
-j < n, and at n when a_{n+1} = -1.  So D_n >= q_m when a_{n+1} = -1, and
-q_n >= q_m, as q_n >= D_n at n = m + 1 and q_n = b_n q_{n-1} - q_{n-2} >=
-D_{n-1} past it.  The bound is at most 1/q_m^2 either way, and chained over
-the anchors, q_n >= q_m for every anchor m <= n.
+certify prints the uniform bound at n.  Its anchor m is the largest m < n
+with a_{m+1} = +1, so g_m = q_m + q_{m-1} >= q_m, and as f grows the bound
+1/f_n is at most 1/f_{m+1} <= 1/g_m^2 <= 1/q_m^2: at most the triangle bound
+|p_n/q_n - p_m/q_m| + 1/q_m^2 through p_m/q_m.  Past m, a_{j+1} = -1 for
+m < j < n, so g_j >= g_{j-1} there and q_n >= g_{n-1} >= g_m >= q_m; chained
+over the anchors, q_n >= q_m for every anchor m <= n.
 
 evaluate and certify validate the whole sequence first.  The per-index probes
 (tail, shift_check, error_bound, uniform_step_bound) assume a valid sequence
@@ -44,6 +43,7 @@ from .core import (
     ConvergentState,
     RationalLike,
     SemiRegularCF,
+    _gap,
     _index,
     _set,
     _states_through,
@@ -59,8 +59,8 @@ from .errors import (
     _show,
 )
 
-#: Default step budget for evaluate(): enough for a slowest-case bound
-#: shrinking like 1/n to certify eps = 1e-3 with room to spare.
+#: Default step budget for evaluate(): the bound at step n is at most
+#: 1/(n + 1), so it certifies every eps >= 1/10001 on every valid sequence.
 DEFAULT_MAX_STEPS = 10_000
 
 PLUS_ANCHOR = "PlusAnchor"
@@ -155,28 +155,28 @@ def shift_check(cf: SemiRegularCF, n: int, k: int) -> Fraction:
 
 
 def error_bound(cf: SemiRegularCF, n: int, k: int) -> Fraction:
-    """1 / (q_n |q_n + x_{n,k} q_{n-1}|), an exact bound on the convergent gap.
+    """|x_{n,k}| / (q_n |q_n + x_{n,k} q_{n-1}|), the exact convergent gap.
 
-    Asserts |p_{n+k}/q_{n+k} - p_n/q_n| <= bound.
+    Asserts |p_{n+k}/q_{n+k} - p_n/q_n| == bound.
     """
     r, t = _tail_pair(cf, n, k)
     states = _states_through(cf, n + k)
     _, _, P_cur, Q_prev, Q_cur, scale, _ = states[n]
     _, _, deep_P, _, deep_Q, _, _ = states[n + k]
-    bound = Fraction(t * scale * scale, Q_cur * abs(t * Q_cur + r * Q_prev))
+    bound = Fraction(abs(r) * scale * scale, Q_cur * abs(t * Q_cur + r * Q_prev))
     # |p_{n+k}/q_{n+k} - p_n/q_n| = gap / gap_den
     gap = abs(deep_P * Q_cur - P_cur * deep_Q)
     gap_den = abs(deep_Q * Q_cur)
-    if gap * bound.denominator > bound.numerator * gap_den:
-        raise IdentityViolation(f"convergent gap {_show(Fraction(gap, gap_den))} exceeds "
+    if gap * bound.denominator != bound.numerator * gap_den:
+        raise IdentityViolation(f"convergent gap {_show(Fraction(gap, gap_den))} != "
                                 f"bound {_show(bound)} at n={n}, k={k}")
     return bound
 
 
 def _uniform_bound(s: ConvergentState, a_next: int) -> Tuple[int, int]:
     """The uniform bound at s as an integer pair (numerator, positive denominator)."""
-    n, _, _, Q_prev, Q_cur, scale, _ = s
-    d = Q_cur if a_next == 1 else Q_cur - Q_prev  # scale * D_n
+    n, _, _, _, Q_cur, scale, _ = s
+    d = _gap(s, a_next)  # scale * g_n
     if d < scale:
         raise IdentityViolation(
             f"uniform-bound denominator {_show(Fraction(d, scale))} < 1 at n={n} "
@@ -188,8 +188,9 @@ def _uniform_bound(s: ConvergentState, a_next: int) -> Tuple[int, int]:
 def uniform_step_bound(cf: SemiRegularCF, n: int) -> Fraction:
     """A bound on |p_{n+k}/q_{n+k} - p_n/q_n| valid for all k >= 1 at once.
 
-    Equals 1/(q_n * D_n) with D_n = q_n when a_{n+1} = +1 and
-    D_n = q_n - q_{n-1} otherwise; see the module docstring for why D_n >= 1.
+    Equals 1/(q_n g_n) with g_n = q_n + a_{n+1} q_{n-1} >= 1, the supremum of
+    error_bound(cf, n, k) over k, and is at most 1/(n + 1); see the module
+    docstring.
     cf's memo keeps each checked bound, so a repeat builds no Fraction.
     """
     if (bound := cf._bounds.get(n)) is None:
@@ -231,9 +232,10 @@ def evaluate(
 
     Returns the first convergent whose bound over all deeper convergents is
     at most eps.  A finite sequence consumed in full yields its exact value
-    with certified_error 0; an invalid cf raises TietzeViolation.  Valid
-    unbounded sequences converge without an effective rate, so a step budget
-    is mandatory; exceeding it raises BudgetExhausted carrying the best bound.
+    with certified_error 0; an invalid cf raises TietzeViolation.  The bound
+    at step n is at most 1/(n + 1) and strictly decreases, so the first step
+    with a bound <= eps is at most ceil(1/eps) - 1; exceeding max_steps raises
+    BudgetExhausted carrying the last bound, the smallest.
     """
     eps = Fraction(eps)
     if eps <= 0:
@@ -241,13 +243,10 @@ def evaluate(
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     _require_valid(cf)
-    best: Optional[Tuple[int, int]] = None
     for s in iter_states(cf, min(len(cf), max_steps)):
         if s.n == len(cf):
             return EvalResult(s.value, Fraction(0), s.n)
         num, den = _uniform_bound(s, cf.a(s.n + 1))
         if num * eps.denominator <= eps.numerator * den:
             return EvalResult(s.value, Fraction(num, den), s.n)
-        if best is None or num * best[1] < best[0] * den:
-            best = (num, den)
-    raise BudgetExhausted(max_steps, Fraction(*best))
+    raise BudgetExhausted(max_steps, Fraction(num, den))

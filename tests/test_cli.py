@@ -144,9 +144,9 @@ class TestEvalCommand:
         code, out, _ = run(["eval", "--eps", "1/100"], stdin=GOLDEN_DOC)
         assert code == 0
         doc = json.loads(out)
-        assert doc["approximation"] == "21/13"
-        assert doc["certified_error"] == "1/169"
-        assert doc["steps_used"] == 6
+        assert doc["approximation"] == "13/8"
+        assert doc["certified_error"] == "1/104"
+        assert doc["steps_used"] == 5
         assert doc["exact"] is False
 
     def test_finite_exact(self):
@@ -165,7 +165,7 @@ class TestEvalCommand:
         stdin = '{"b0":"1","terms":[{"a":1,"b":"1"}]}'
         code, out, _ = run(["eval", "--eps", "1/100", "--repeat"], stdin=stdin)
         assert code == 0
-        assert json.loads(out)["approximation"] == "21/13"
+        assert json.loads(out)["approximation"] == "13/8"
 
     def test_budget_exhausted_exit_3(self):
         stdin = '{"b0":"2","terms":[{"a":-1,"b":"2"}]}'
@@ -175,6 +175,14 @@ class TestEvalCommand:
         doc = json.loads(out)
         assert doc["error"] == "budget exhausted"
         assert doc["best_bound"] == "1/11"
+
+    def test_the_default_budget_certifies_every_eps_from_one_over_10001(self):
+        # On the all-minus-2 chain, the slowest valid sequence, the bound at n is 1/(n + 1).
+        stdin = '{"b0":"0","terms":[{"a":-1,"b":"2"}]}'
+        code, out, _ = run(["eval", "--eps", "1/10001", "--repeat"], stdin=stdin)
+        assert (code, json.loads(out)["steps_used"]) == (0, 10000)
+        code, out, _ = run(["eval", "--eps", "1/10002", "--repeat"], stdin=stdin)
+        assert (code, json.loads(out)["best_bound"]) == (3, "1/10001")
 
     def test_parse_error_exit_1(self):
         code, out, _ = run(["eval", "--eps", "1/10"], stdin="not json")
@@ -194,7 +202,7 @@ class TestEvalCommand:
         code, out, _ = run(argv, stdin=stdin)
         assert code == 0
         doc = json.loads(out)
-        assert doc["approximation"] == "21/13" and doc["steps_used"] == 6
+        assert doc["approximation"] == "13/8" and doc["steps_used"] == 5
 
     @pytest.mark.parametrize("argv", [
         ["eval", "--eps", "1/100", "--max-steps", str(10**12)],
@@ -214,7 +222,7 @@ class TestEvalCommand:
     def test_decimals_display(self):
         code, out, _ = run(["eval", "--eps", "1/100", "--decimals", "4"], stdin=GOLDEN_DOC)
         assert code == 0
-        assert json.loads(out)["decimal"] == "1.6154"
+        assert json.loads(out)["decimal"] == "1.6250"
 
     @pytest.mark.parametrize("b0, decimal", [("-7/2", "-4"), ("-5/2", "-2"), ("5/2", "2")])
     def test_decimals_zero_rounds_half_to_even(self, b0, decimal):
@@ -496,7 +504,7 @@ RATIONALS = [
     (["convergents", "-n", "8", "--repeat", "--decimals", "12"], RATIONAL_B,
      "fa4128fb547447ff5beb20c925b6ce3d8f18f3985a1cf2fe6fe7c2c5383f26d4"),
     (["certify", "-n", "5"], RATIONAL_A,
-     "c2a1f6891e732a456bfcffeb707b99edf1deddda9b5301c15d5a270b2768ab24"),
+     "fd5281280b8bb2fc50e6f1ccd624978e9c07004cdbe6cbd4f3bf1a7e7823b22b"),
     (["certify", "-n", "40", "--repeat"], RATIONAL_B,
      "25aa7b85d0238e1ee454cc7e1b750fdd916fbe34994e8b9989a2538aba814092"),
     (["check"], RATIONAL_A,
@@ -504,7 +512,7 @@ RATIONALS = [
     (["check"], RATIONAL_B,
      "f9ac3ab3ff2cc40f630e43cbcce42b0e04c7ee9fa3f159eb1c1c3539d5e774f0"),
     (["eval", "--eps", EPS, "--repeat"], RATIONAL_A,
-     "0da796308b314c9f521f3b3c609632039e472aab65d5147399af70e3cc69a7e4"),
+     "91b83b1d40bb2242cdbb4ab3829adf73582336af8c360e84fc9d75435841eeb5"),
     (["eval", "--eps", EPS, "--repeat"], RATIONAL_B,
      "b761192b978e8775d8e3fc8dcecd368aaea92924766512b4e88ddb137854eb4d"),
 ]
@@ -934,7 +942,7 @@ def test_convergents_stops_at_the_first_row_too_large_to_print():
 
 
 def test_budget_exhausted_over_the_digit_limit():
-    # b_1 = X/Y has 4000-digit parts; best_bound 1/q_1^2 = Y^2/X^2 has about 8000.
+    # b_1 = X/Y has 4000-digit parts; best_bound 1/(q_1 g_1) = Y^2/(X(X + Y)) has about 8000.
     x, y = 2 * 10**3999 + 1, 10**3999
     stdin = '{"b0":"0","terms":[{"a":1,"b":"%d/%d"},{"a":1,"b":"1"}]}' % (x, y)
     argv = ["eval", "--eps", "1/100", "--max-steps", "1"]

@@ -12,6 +12,7 @@ from semicf import (
     IdentityViolation,
     InsufficientTerms,
     SemiRegularCF,
+    Term,
     Violation,
     ZeroDenominator,
     certify,
@@ -48,7 +49,7 @@ ERRORS = {
     "BudgetExhausted": (
         lambda: _raised(evaluate, GOLDEN, Fraction(1, 10**6), max_steps=3),
         "no certificate within 3 steps; see best_bound",
-        {"max_steps": 3, "best_bound": Fraction(1, 9)},
+        {"max_steps": 3, "best_bound": Fraction(1, 15)},
     ),
     "TietzeViolation": (
         lambda: _raised(certify, SemiRegularCF.from_pairs(0, [(1, 2), (-1, Fraction(1, 3))]), 1),
@@ -89,7 +90,7 @@ ABOUT_A_LONG_NUMBER = {
     "TietzeViolation": lambda: _raised(evaluate, SemiRegularCF.from_pairs(0, TINY_B), 1),
     "DenominatorBelowOne": lambda: _raised(tail, SemiRegularCF.from_pairs(0, TINY_B), 0, 1),
     "IdentityViolation": lambda: _raised(
-        uniform_step_bound, SemiRegularCF.from_pairs(0, TINY_B + [(1, 1)]), 1),
+        uniform_step_bound, SemiRegularCF.from_pairs(0, TINY_B + [(-1, 1)]), 1),
 }
 
 
@@ -116,6 +117,9 @@ def _corrupted(changes):
 #: Each number that a raise site shows in its message, driven past the int-to-str
 #: digit limit, and the error that the site must raise all the same.
 PAST_THE_LIMIT = {
+    "term_sign": (lambda: Term(BIG, 1), ValueError),
+    "term_denominator": (lambda: Term(1, Fraction(-BIG)), ValueError),
+    "periodic_length": (lambda: SemiRegularCF.periodic(0, [(1, 1)], BIG), ValueError),
     "term": (lambda: GOLDEN.term(BIG), InsufficientTerms),
     "index": (lambda: state_at(GOLDEN, BIG), InsufficientTerms),
     "fold_eval": (lambda: fold_eval(GOLDEN, BIG), InsufficientTerms),

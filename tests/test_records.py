@@ -59,7 +59,7 @@ RECORDS = {
     "TailValue": (tail(CF, 0, 2), "TailValue(n=0, k=2, value=Fraction(5, 7))"),
     "ErrorCertificate": (
         certify(SemiRegularCF.from_pairs(1, [(1, 2), (1, 2), (1, 1)]), 2),
-        "ErrorCertificate(n=2, anchor=1, bound=Fraction(1, 25))",
+        "ErrorCertificate(n=2, anchor=1, bound=Fraction(1, 35))",
     ),
     "EvalResult": (
         evaluate(CF, Fraction(1, 10)),

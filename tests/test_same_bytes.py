@@ -69,13 +69,13 @@ EXPANDS = ["0", "7/3", "-7/3", "5/2", "-5/2", "355/113"]  # after "--", as a neg
 DIGESTS = {
     "random_tietze": "3c8a870f2b4f401a",
     "check": "0ace6ac38d45c6e0",
-    "eval": "edd468bf504aed4d",
-    "eval --repeat --decimals": "a21c47b8ded49bcf",
-    "eval --max-steps": "6038726d66df3908",
+    "eval": "2153e8cbd87511ab",
+    "eval --repeat --decimals": "011a0e7cb4bd0fc7",
+    "eval --max-steps": "ad4dccc1c5da735c",
     "convergents": "7583b24b554c3bac",
     "convergents --repeat": "065c7e8f183215bc",
-    "certify": "55b5c3e3f5e63850",
-    "certify --repeat": "da6a2d08c4d09865",
+    "certify": "2a27e846c9d65cd4",
+    "certify --repeat": "e533ccb55e75069a",
     "expand": "8a6060d0573225b8",
     "errors": "b75051d935ec930e",
 }

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from semicf import (
     ALL_MINUS_TAIL,
+    DEFAULT_MAX_STEPS,
     PLUS_ANCHOR,
     BudgetExhausted,
     DenominatorBelowOne,
     RandomSpec,
     SemiRegularCF,
+    Term,
     TietzeViolation,
     anchor_index,
     certify,
@@ -36,7 +38,7 @@ from semicf import (
 from semicf import core, tails
 from semicf.errors import IdentityViolation, InsufficientTerms
 
-from conftest import all_minus_two, corpus_cf, golden
+from conftest import all_minus_two, corpus_cf, gap, golden
 
 # rational bracket of the golden ratio, tight enough for the bounds below
 PHI_LO = Fraction(1618033, 1000000)
@@ -106,7 +108,8 @@ class TestErrorBound:
         assert abs(convergent(golden(), 2) - convergent(golden(), 1)) == Fraction(1, 2)
 
     def test_all_minus(self):
-        assert error_bound(all_minus_two(), 1, 1) == Fraction(1, 3)
+        assert error_bound(all_minus_two(), 1, 1) == Fraction(1, 6)
+        assert convergent(all_minus_two(), 1) - convergent(all_minus_two(), 2) == Fraction(1, 6)
 
     def test_positive_tail_beats_inverse_square(self):
         cf = golden(12)
@@ -121,12 +124,20 @@ class TestErrorBound:
         cf._states[3] = cf._states[3]._replace(P_cur=cf._states[3].P_cur * 7)  # p_3 = 21
         with pytest.raises(IdentityViolation) as info:
             error_bound(cf, 1, 2)
-        assert str(info.value) == "convergent gap 29/3 exceeds bound 2/3 at n=1, k=2"
+        assert str(info.value) == "convergent gap 29/3 != bound 1/3 at n=1, k=2"
+
+    def test_a_gap_under_the_bound_raises(self):
+        cf = golden(5)
+        state_at(cf, 5)
+        cf._states[4] = cf._states[4]._replace(P_cur=9)  # p_4 = 9/5, nearer p_1 = 2 than 8/5
+        with pytest.raises(IdentityViolation) as info:
+            error_bound(cf, 1, 3)
+        assert str(info.value) == "convergent gap 1/5 != bound 2/5 at n=1, k=3"
 
 
 class TestUniformBound:
     def test_golden(self):
-        assert uniform_step_bound(golden(), 2) == Fraction(1, 4)
+        assert uniform_step_bound(golden(), 2) == Fraction(1, 6)
 
     def test_all_minus(self):
         am = all_minus_two()
@@ -239,8 +250,17 @@ def anchored_bound(cf, n):
     return abs(convergent(cf, n) - convergent(cf, m)) + 1 / state_at(cf, m).q_cur ** 2
 
 
+def d_bound(cf, n):
+    """The uniform bound before it read g_n: 1/(q_n D_n), with D_n = q_n when
+    a_{n+1} = +1 and D_n = q_n - q_{n-1} otherwise."""
+    s = state_at(cf, n)
+    d = s.q_cur if cf.a(n + 1) == 1 else s.q_cur - Fraction(s.Q_prev, s.scale)
+    return 1 / (s.q_cur * d)
+
+
 class TestTheorem:
-    """The inequalities that make the uniform bound at n at most 1/q_m^2 at the anchor m."""
+    """The inequalities that make the uniform bound at n at most 1/q_m^2 at the
+    anchor m, and at most 1/(n + 1)."""
 
     @settings(deadline=None, max_examples=100)
     @given(cf=valid_sequences())
@@ -287,14 +307,70 @@ class TestTheorem:
         for n in range(len(cf)):
             assert certify(cf, n).bound <= anchored_bound(cf, n)
 
+    @settings(deadline=None, max_examples=100)
+    @given(cf=valid_sequences())
+    def test_each_step_of_the_rate(self, cf):
+        q = [state_at(cf, j).q_cur for j in range(len(cf) + 1)]
+        g = [gap(state_at(cf, j), cf.a(j + 1)) for j in range(len(cf))]
+        assert q[0] * g[0] == 1
+        for n in range(len(cf) - 1):
+            assert q[n + 1] >= g[n] >= 1
+            if cf.a(n + 2) == -1:
+                assert g[n + 1] >= g[n]
+            assert q[n + 1] * g[n + 1] >= q[n] * g[n] + g[n] ** 2
+
+    @settings(deadline=None, max_examples=100)
+    @given(cf=valid_sequences())
+    def test_uniform_bound_is_at_most_one_over_n_plus_one_and_decreasing(self, cf):
+        bounds = [uniform_step_bound(cf, n) for n in range(len(cf))]
+        assert all(u <= Fraction(1, n + 1) for n, u in enumerate(bounds))
+        assert all(later < u for u, later in zip(bounds, bounds[1:]))
+
+    @settings(deadline=None, max_examples=100)
+    @given(cf=valid_sequences())
+    def test_uniform_bound_is_the_distance_between_two_folds(self, cf):
+        """The fold with one more term, (a_{n+1}, 1), is the tail's worst case x = a_{n+1}."""
+        for n in range(len(cf)):
+            head = tuple(cf.terms[:n])
+            worst = fold_eval(SemiRegularCF(cf.b0, head + (Term(cf.a(n + 1), 1),)))
+            assert uniform_step_bound(cf, n) == abs(worst - fold_eval(SemiRegularCF(cf.b0, head)))
+
+    @settings(deadline=None, max_examples=100)
+    @given(cf=valid_sequences())
+    def test_uniform_bound_is_the_supremum_of_the_exact_gaps(self, cf):
+        values = [convergent(cf, j) for j in range(len(cf) + 1)]
+        for n in range(len(cf)):
+            u = uniform_step_bound(cf, n)
+            for k in range(1, len(cf) - n + 1):
+                assert error_bound(cf, n, k) == abs(values[n + k] - values[n]) <= u
+            if cf.b(n + 1) == 1:  # attained at k = 1
+                assert error_bound(cf, n, 1) == u
+
+    @settings(deadline=None, max_examples=100)
+    @given(cf=valid_sequences())
+    def test_uniform_bound_is_at_most_the_d_bound(self, cf):
+        for n in range(len(cf)):
+            assert uniform_step_bound(cf, n) <= d_bound(cf, n)
+
+    def test_the_all_minus_two_chain_meets_one_over_n_plus_one(self):
+        cf = SemiRegularCF.periodic(0, [(-1, 2)], sys.maxsize)
+        assert [uniform_step_bound(cf, n) for n in range(5)] == [Fraction(1, n + 1)
+                                                                 for n in range(5)]
+        result = evaluate(cf, Fraction(1, DEFAULT_MAX_STEPS + 1))
+        assert result == (Fraction(-DEFAULT_MAX_STEPS, DEFAULT_MAX_STEPS + 1),
+                          Fraction(1, DEFAULT_MAX_STEPS + 1), DEFAULT_MAX_STEPS)
+        with pytest.raises(BudgetExhausted) as exc:
+            evaluate(cf, Fraction(1, DEFAULT_MAX_STEPS + 2))
+        assert exc.value.args == (DEFAULT_MAX_STEPS, Fraction(1, DEFAULT_MAX_STEPS + 1))
+
 
 class TestEvaluate:
     def test_golden(self):
         res = evaluate(golden(10), Fraction(1, 100))
-        assert res.approximation == Fraction(21, 13)
-        assert res.steps_used == 6
+        assert res.approximation == Fraction(13, 8)
+        assert res.steps_used == 5
         assert not res.exact
-        assert res.certified_error == Fraction(1, 169)
+        assert res.certified_error == Fraction(1, 104)
 
     def test_all_minus(self):
         res = evaluate(all_minus_two(20), Fraction(1, 10))
@@ -317,27 +393,29 @@ class TestEvaluate:
         assert exc.value.max_steps == 40
         assert exc.value.best_bound == Fraction(1, 41)
 
-    def test_first_certifying_step_of_a_non_monotone_bound(self):
-        # q_n runs 1, 2, 1, 3, so the uniform bounds run 1, 1/2, 1, 1/9.
+    def test_first_certifying_step_and_the_last_bound_of_a_budget(self):
+        # q_n runs 1, 2, 1, 3 and g_n 1, 1, 3, 4, so the uniform bounds run
+        # 1, 1/2, 1/3, 1/12: decreasing, though q_n is not.
         cf = SemiRegularCF.from_pairs(0, [(1, 2), (-1, 1), (1, 1), (1, 1)])
         bounds = [uniform_step_bound(cf, n) for n in range(4)]
-        assert bounds == [1, Fraction(1, 2), 1, Fraction(1, 9)]
-        for eps, steps in [(1, 0), (Fraction(1, 2), 1), (Fraction(1, 3), 3), (Fraction(1, 9), 3)]:
+        assert bounds == [1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 12)]
+        for eps, steps in [(1, 0), (Fraction(1, 2), 1), (Fraction(1, 3), 2), (Fraction(1, 9), 3)]:
             result = evaluate(cf, eps)
             assert (result.steps_used, result.certified_error) == (steps, bounds[steps])
-        # The budget reports the smallest bound seen, not the last one.
-        for max_steps, best in [(2, Fraction(1, 2)), (len(cf) - 1, Fraction(1, 9))]:
+        # The budget reports the last bound, which is the smallest.
+        for max_steps, best in [(2, Fraction(1, 3)), (len(cf) - 1, Fraction(1, 12))]:
             with pytest.raises(BudgetExhausted) as exc:
-                evaluate(cf, Fraction(1, 10), max_steps)
+                evaluate(cf, Fraction(1, 100), max_steps)
             assert (exc.value.max_steps, exc.value.best_bound) == (max_steps, best)
 
     def test_budget_with_a_bound_past_the_digit_limit(self):
-        # best_bound = 1/q_1^2 = y^2/x^2 has about 8000 digits, more than str() converts.
+        # best_bound = 1/(q_1 g_1) = y^2/(x(x + y)) has about 8000 digits, more than
+        # str() converts.
         x, y = 2 * 10**3999 + 1, 10**3999
         cf = SemiRegularCF.from_pairs(0, [(1, Fraction(x, y)), (1, 1)])
         with pytest.raises(BudgetExhausted) as exc:
             evaluate(cf, Fraction(1, 100), max_steps=1)
-        assert exc.value.best_bound == Fraction(y * y, x * x)
+        assert exc.value.best_bound == Fraction(y * y, x * (x + y))
         assert str(exc.value) == "no certificate within 1 steps; see best_bound"
 
     def test_rejects_bad_eps(self):
@@ -522,9 +600,9 @@ def test_tail_queries_match_the_independent_oracle(seed, length, integer_only):
             x = tail(cf, n, k).value
             assert x == fold_eval(SemiRegularCF(0, cf.terms[n:n + k]))
             assert shift_check(cf, n, k) == fold_eval(cf, end)
-            assert error_bound(cf, n, k) == 1 / (q[n + 1] * abs(q[n + 1] + x * q[n]))
+            assert error_bound(cf, n, k) == abs(x) / (q[n + 1] * abs(q[n + 1] + x * q[n]))
     for n in range(length):
-        d = q[n + 1] if cf.a(n + 1) == 1 else q[n + 1] - q[n]  # D_n
+        d = q[n + 1] + cf.a(n + 1) * q[n]  # g_n
         assert uniform_step_bound(cf, n) == 1 / (q[n + 1] * d)
 
 
